@@ -19,7 +19,6 @@ cfg = ExperimentConfig(
     L=[4, 6], lam=[0.5, 1.0, 1.5], theta=[0.0, "0.25pi", "0.5pi"],
     out_dir=str(out),
 )
-cfg.theta = experiments._expand_theta(cfg.theta)
 experiments.run_phase_diagram(cfg)
 
 cfg = ExperimentConfig(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exact, hilbert
+from . import exact
 
 AMPLITUDE_FLOOR = 1e-30
 COEFF_FLOOR = 1e-300   # below this an exact coefficient has no relative error

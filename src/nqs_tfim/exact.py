@@ -1,6 +1,5 @@
 """Exact diagonalization, state-vector metrics and sign diagnostics."""
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +57,9 @@ class SpectrumSummary:
 def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     """Lowest k eigenpairs of H.
 
-    Dense symmetric solve for L <= 12; Lanczos (scipy eigsh on a
-    term-list matvec) for 12 < L <= 16.
+    Dense symmetric solve for L <= 12; Lanczos (scipy eigsh on
+    hamiltonian.matvec, which reads the cached element table) for
+    12 < L <= 16.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -33,7 +33,7 @@ class ExperimentConfig:
     kind: str
     L: list = field(default_factory=lambda: [8])
     lam: list = field(default_factory=lambda: [1.5])
-    theta: list = field(default_factory=lambda: [0.0])
+    theta: list = field(default_factory=lambda: [0.0])   # radians or "0.25pi"
     alpha: list = field(default_factory=lambda: [1.0])
     init_scale: float = rbm.DEFAULT_INIT_SCALE
     eta: float | None = 0.02
@@ -50,14 +50,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.eta is None and self.search_trials < 1:
             raise ValueError("need either a fixed eta or search_trials >= 1")
-
-    @property
-    def sr_config(self) -> SrConfig:
-        return SrConfig(
-            eta=self.eta if self.eta else 0.02,
-            epsilon=self.epsilon, n_iter=self.n_iter,
-            seed=self.seed, alpha=self.alpha[0], init_scale=self.init_scale,
-        )
+        self.theta = _expand_theta(self.theta)
 
 
 def _expand_theta(values) -> list:
@@ -86,7 +79,7 @@ def load_config(path, kind: str | None = None, **overrides) -> ExperimentConfig:
         kind=kind or doc.get("kind"),
         L=[int(x) for x in grid.get("L", [8])],
         lam=[float(x) for x in grid.get("lambda", [1.5])],
-        theta=_expand_theta(grid.get("theta", [0.0])),
+        theta=grid.get("theta", [0.0]),
         alpha=[float(x) for x in np.atleast_1d(rbm_sec.get("alpha", [1.0]))],
         init_scale=float(rbm_sec.get("init_scale", rbm.DEFAULT_INIT_SCALE)),
         eta=(None if (raw_eta := sr_sec.get("eta", 0.02)) in (None, "search")

@@ -6,9 +6,15 @@ Expanding gives a fixed collection of X/Z Pauli strings with real
 coefficients, stored as (x_mask, z_mask, coeff) triples. The matrix element
 of coeff * Z_A X_B between <s| and |s'> is nonzero only for s' = s ^ B and
 then equals coeff * prod_{i in A} s_i.
+
+Every routine that applies H to a full vector reads one table, built on
+first use and cached on the instance: per term, the flip mask B and the
+values coeff * prod_{i in A} s_i over all 2^L configurations s. `row`
+works from the term list directly and serves as the independent oracle.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +38,16 @@ class RotatedTfim:
     @property
     def dim(self) -> int:
         return 1 << self.L
+
+    @cached_property
+    def elements(self) -> tuple:
+        """Per term, (x_mask, values): values[s] is the term's matrix
+        element between <s| and |s ^ x_mask>. Takes n_terms * 2^L * 8 bytes."""
+        idx = np.arange(self.dim)
+        return tuple(
+            (x_mask, coeff * hilbert.parity_in_mask(idx, z_mask))
+            for x_mask, z_mask, coeff in self.terms
+        )
 
 
 def _build_terms(L, lam, theta):
@@ -81,35 +97,30 @@ def dense_matrix(h: RotatedTfim) -> np.ndarray:
     dim = h.dim
     idx = np.arange(dim)
     m = np.zeros((dim, dim))
-    for x_mask, z_mask, coeff in h.terms:
-        m[idx, idx ^ x_mask] += coeff * hilbert.parity_in_mask(idx, z_mask)
+    for x_mask, values in h.elements:
+        m[idx, idx ^ x_mask] += values
     return m
 
 
 def matvec(h: RotatedTfim, v: np.ndarray) -> np.ndarray:
-    """H @ v using the term list, O(n_terms * 2^L)."""
+    """H @ v from the cached element table, O(n_terms * 2^L)."""
     idx = np.arange(h.dim)
     out = np.zeros_like(np.asarray(v, dtype=np.result_type(v, float)))
-    for x_mask, z_mask, coeff in h.terms:
-        out += coeff * hilbert.parity_in_mask(idx, z_mask) * v[idx ^ x_mask]
+    for x_mask, values in h.elements:
+        out += values * v[idx ^ x_mask]
     return out
 
 
 def _grouped_elements(h: RotatedTfim):
-    """Matrix elements merged per flip mask: yields (x_mask, values over s).
+    """Matrix elements merged per flip mask: (x_mask, values over s) pairs.
 
     values[s] = H_{s, s^x_mask}; terms sharing a flip mask are summed
     before any sign inspection.
     """
-    idx = np.arange(h.dim)
     groups = {}
-    for x_mask, z_mask, coeff in h.terms:
-        groups.setdefault(x_mask, []).append((z_mask, coeff))
-    for x_mask, parts in groups.items():
-        vals = np.zeros(h.dim)
-        for z_mask, coeff in parts:
-            vals += coeff * hilbert.parity_in_mask(idx, z_mask)
-        yield x_mask, vals
+    for x_mask, values in h.elements:
+        groups[x_mask] = groups.get(x_mask, 0.0) + values
+    return groups.items()
 
 
 def is_stoquastic(h: RotatedTfim, tol: float = 1e-12) -> bool:

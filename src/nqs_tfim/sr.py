@@ -8,17 +8,15 @@ parameters by -eta*d (downhill).
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
-from . import hilbert, rbm
-from .hamiltonian import RotatedTfim
+from . import hamiltonian, rbm
+from .hamiltonian import RotatedTfim, row
 from .rbm import RbmParameters
 
-DIRECT_SOLVE_MAX_VARS = 2000
 SOLVE_RESIDUAL_TOL = 1e-10
 DIVERGENCE_FACTOR = 1e3
 ETA_SEARCH_RANGE = (1e-5, 1e-1)
@@ -61,10 +59,7 @@ def local_energies(h: RotatedTfim, psi: np.ndarray) -> np.ndarray:
     carry zero Born weight but are flagged with a warning.
     """
     psi = np.asarray(psi, dtype=complex)
-    idx = np.arange(h.dim)
-    num = np.zeros(h.dim, dtype=complex)
-    for x_mask, z_mask, coeff in h.terms:
-        num += coeff * hilbert.parity_in_mask(idx, z_mask) * psi[idx ^ x_mask]
+    num = hamiltonian.matvec(h, psi)
     zero = psi == 0
     if np.any(zero):
         warnings.warn(
@@ -80,22 +75,25 @@ def local_energy(h: RotatedTfim, w: RbmParameters, s: int) -> complex:
     """Local energy of a single configuration from amplitude ratios."""
     lp_s = rbm.log_psi(w, s)
     total = 0.0 + 0.0j
-    from .hamiltonian import row
     for sp, amp in row(h, s):
         total += amp * np.exp(rbm.log_psi(w, sp) - lp_s)
     return complex(total)
 
 
-def _full_expectations(h: RotatedTfim, w: RbmParameters):
+def _born_energy(h: RotatedTfim, w: RbmParameters):
+    """Born weights p, local energies, energy and variance of the RBM state."""
     lp = rbm.log_psi_all(w)
     psi = np.exp(lp - np.max(lp.real))
     p = np.abs(psi) ** 2
     p /= p.sum()
-
     e_loc = local_energies(h, psi)
     energy = complex(np.sum(p * e_loc))
     var = float(np.sum(p * np.abs(e_loc - energy) ** 2))
+    return p, e_loc, energy, var
 
+
+def _full_expectations(h: RotatedTfim, w: RbmParameters):
+    p, e_loc, energy, var = _born_energy(h, w)
     o = rbm.log_derivatives_all(w)
     o_mean = p @ o
     f = (p * e_loc) @ o.conj() - energy * (p @ o.conj())
@@ -114,26 +112,19 @@ def expectations(h: RotatedTfim, w: RbmParameters):
 
 
 def energy_and_variance(h: RotatedTfim, w: RbmParameters):
-    lp = rbm.log_psi_all(w)
-    psi = np.exp(lp - np.max(lp.real))
-    p = np.abs(psi) ** 2
-    p /= p.sum()
-    e_loc = local_energies(h, psi)
-    energy = complex(np.sum(p * e_loc))
-    var = float(np.sum(p * np.abs(e_loc - energy) ** 2))
+    """Exact (energy, variance of the local energy) for the parameters."""
+    _, _, energy, var = _born_energy(h, w)
     return energy, var
 
 
 def solve_sr_system(s_mat: np.ndarray, f: np.ndarray, epsilon: float) -> np.ndarray:
-    """Solve (S + eps*1) d = f; direct below 2000 parameters, CG above."""
-    n = len(f)
-    reg = s_mat + epsilon * np.eye(n)
-    if n <= DIRECT_SOLVE_MAX_VARS:
-        delta = scipy.linalg.solve(reg, f, assume_a="her")
-    else:
-        delta, info = scipy.sparse.linalg.cg(reg, f, rtol=1e-12, maxiter=10 * n)
-        if info != 0:
-            raise RuntimeError(f"CG failed to converge (info={info})")
+    """Solve (S + eps*1) d = f by a direct Hermitian solve.
+
+    Raises RuntimeError if the residual exceeds SOLVE_RESIDUAL_TOL relative
+    to max(|f|, 1).
+    """
+    reg = s_mat + epsilon * np.eye(len(f))
+    delta = scipy.linalg.solve(reg, f, assume_a="her")
     res = np.linalg.norm(reg @ delta - f)
     scale = max(np.linalg.norm(f), 1.0)
     if res > SOLVE_RESIDUAL_TOL * scale:

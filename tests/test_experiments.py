@@ -30,6 +30,12 @@ def test_expand_theta_strings():
     assert vals == pytest.approx([0.25 * np.pi, np.pi, 0.5, 1.0])
 
 
+def test_config_normalizes_theta_strings():
+    cfg = ExperimentConfig(kind="uniformity", theta=["0.25pi"])
+    assert cfg.theta == pytest.approx([0.25 * np.pi])
+    assert all(isinstance(t, float) for t in cfg.theta)
+
+
 def test_config_rejects_unknown_kind():
     with pytest.raises(ValueError):
         ExperimentConfig(kind="nonsense")

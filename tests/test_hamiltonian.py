@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nqs_tfim import exact, hamiltonian
+from nqs_tfim import exact, hamiltonian, sr
 from nqs_tfim.hamiltonian import RotatedTfim
 
 from conftest import kron_hamiltonian, site_operator, PAULI_X
@@ -80,6 +82,39 @@ def test_matvec_matches_dense(rng):
     m = hamiltonian.dense_matrix(h)
     v = rng.normal(size=32) + 1j * rng.normal(size=32)
     assert np.allclose(hamiltonian.matvec(h, v), m @ v)
+
+
+def row_oracle_matrix(h):
+    m = np.zeros((h.dim, h.dim))
+    for s in range(h.dim):
+        for sp, amp in hamiltonian.row(h, s):
+            m[s, sp] = amp
+    return m
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 2, np.pi])
+@pytest.mark.parametrize("L", range(1, 8))
+def test_element_table_matches_row_oracle(L, theta, rng):
+    # at pi/2 and pi some expanded coefficients fall below COEFF_DROP_TOL
+    h = RotatedTfim(L, 0.9, theta)
+    m = row_oracle_matrix(h)
+    assert np.allclose(hamiltonian.dense_matrix(h), m, rtol=0, atol=1e-12)
+    psi = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
+    hv = hamiltonian.matvec(h, psi)
+    assert np.allclose(hv, m @ psi, rtol=0, atol=1e-12)
+    assert np.array_equal(sr.local_energies(h, psi), hv / psi)
+
+
+def test_element_table_is_built_lazily():
+    tracemalloc.start()
+    try:
+        h = RotatedTfim(24, 1.0, 0.3)
+        hamiltonian.row(h, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "elements" not in vars(h)
 
 
 def test_spectrum_theta_invariant():
