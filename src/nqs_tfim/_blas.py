@@ -1,0 +1,57 @@
+"""One BLAS thread per process.
+
+Exact-summation SR makes many small dense BLAS calls (the n_var x n_var S
+build and the Hermitian solve). At these sizes a second OpenBLAS thread
+costs more in hand-off than it saves, so the package sets every OpenBLAS
+mapped into the process to one thread when it is imported. numpy and
+scipy each bundle their own OpenBLAS (an ILP64 build with the suffix 64_
+and an LP64 build), and both are set.
+
+A BLAS thread variable set by the user wins: OpenBLAS already applied it
+when it loaded, so nothing is changed then. Without /proc or without
+OpenBLAS this does nothing.
+"""
+
+import ctypes
+import os
+
+_USER_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_SYMBOLS = (   # (setter, getter) for scipy's bundled builds and plain OpenBLAS
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def openblas_libraries() -> dict:
+    """{file name: (setter, getter)} for each OpenBLAS already mapped into
+    this process, found through /proc/self/maps; never loads a library."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
+    except OSError:
+        return {}
+    out = {}
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for set_sym, get_sym in _SYMBOLS:
+            if hasattr(lib, set_sym) and hasattr(lib, get_sym):
+                setter, getter = getattr(lib, set_sym), getattr(lib, get_sym)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                out[os.path.basename(path)] = (setter, getter)
+                break
+    return out
+
+
+def pin_single_thread() -> None:
+    """One thread for every loaded OpenBLAS, unless the user chose a count."""
+    if any(os.environ.get(var) for var in _USER_THREAD_VARS):
+        return
+    for setter, _ in openblas_libraries().values():
+        setter(1)

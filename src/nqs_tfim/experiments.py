@@ -9,8 +9,9 @@ i within a point then gets SeedSequence([point_seed, i]) (see sr.derive_seed).
 """
 
 import csv
+import hashlib
 import json
-import time
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -125,9 +126,13 @@ class ResultIndex:
         if self.path.exists():
             self.records = json.loads(self.path.read_text())
 
-    def add(self, kind: str, key: dict, metrics: dict, artifacts: list):
+    def add(self, kind: str, key: dict, metrics: dict, artifacts: list, seed: int):
+        """Append a record; its run_id depends only on the kind, the record's
+        position and the key and master seed, so reruns repeat it."""
+        digest = hashlib.sha256(
+            json.dumps([key, seed], sort_keys=True).encode()).hexdigest()
         self.records.append({
-            "run_id": f"{kind}-{len(self.records)}-{time.time_ns()}",
+            "run_id": f"{kind}-{len(self.records)}-{digest[:12]}",
             "kind": kind,
             "key": key,
             "metrics": metrics,
@@ -135,8 +140,16 @@ class ResultIndex:
         })
 
     def flush(self):
+        """Write index.json through a temp file and a rename, so a failed
+        write leaves the previous index whole."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(self.records, indent=1))
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        try:
+            tmp.write_text(json.dumps(self.records, indent=1))
+            os.replace(tmp, self.path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +207,7 @@ def run_phase_diagram(cfg: ExperimentConfig) -> int:
                      ["L", "lambda", "theta", "E0", "E1", "gap", "near_degenerate"],
                      rows)
     index.add("phase-diagram", {"L": cfg.L, "lambda": cfg.lam, "theta": cfg.theta},
-              {"n_points": len(rows), "n_failures": failures}, [path])
+              {"n_points": len(rows), "n_failures": failures}, [path], cfg.seed)
     index.flush()
     return failures
 
@@ -246,7 +259,7 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> int:
                     "rel_energy_error", "infidelity", "sign_rbm",
                     "overlap2_psi", "overlap2_plus", "overlap2_minus"], real_rows)
     index.add("degeneracy", {"L": L, "lambda": lam, "theta": cfg.theta},
-              {"n_failures": failures}, [a1, a2, *artifacts])
+              {"n_failures": failures}, [a1, a2, *artifacts], cfg.seed)
     index.flush()
     return failures
 
@@ -297,7 +310,7 @@ def run_pi_rotation_compare(cfg: ExperimentConfig) -> int:
     index.add("pi-compare", {"L": L, "lambda": lam},
               {"mapped_theta0_energy_on_Hpi": mapped_energy,
                "exact_E0": e0, "n_failures": failures},
-              [a1, *artifacts])
+              [a1, *artifacts], cfg.seed)
     index.flush()
     return failures
 
@@ -339,7 +352,7 @@ def run_uniformity_sweep(cfg: ExperimentConfig) -> int:
                    ["L", "lambda", "theta", "alpha", "E_var", "rel_energy_error",
                     "infidelity", "sign_exact", "gap", "eta"], best_rows)
     index.add("uniformity", {"L": L, "lambda": cfg.lam, "theta": cfg.theta},
-              {"n_failures": failures}, [a1, a2])
+              {"n_failures": failures}, [a1, a2], cfg.seed)
     index.flush()
     return failures
 
@@ -390,7 +403,7 @@ def _cumulant_point(out, index, cfg, L, lam, theta, alpha, point_seed):
                "rbm_infidelity": exact.infidelity(best.state, psi),
                "rel_energy_error": exact.relative_energy_error(
                    best.energy, summary.energies[0])},
-              [a1, a2, ckpt])
+              [a1, a2, ckpt], cfg.seed)
 
 
 def run_cumulant_analysis(cfg: ExperimentConfig) -> int:

@@ -28,11 +28,32 @@ def test_ground_states_residuals_and_order():
 
 
 def test_iterative_solver_path():
-    # L = 13 exceeds the dense-solve threshold; check the Lanczos branch
-    # against theta invariance and its own residuals
+    # L = 13 is above exact.DENSE_SOLVE_MAX_SITES (10); check the Lanczos
+    # branch against theta invariance and its own residuals
     s_a = exact.ground_states(RotatedTfim(13, 1.5, 0.0), k=2)
     s_b = exact.ground_states(RotatedTfim(13, 1.5, 0.3), k=2)
     assert np.allclose(s_a.energies, s_b.energies, atol=1e-8)
+
+
+def test_lanczos_states_repeat_bit_for_bit():
+    h = RotatedTfim(13, 0.5, 0.3)
+    s_a, s_b = exact.ground_states(h), exact.ground_states(h)
+    assert np.array_equal(s_a.energies, s_b.energies)
+    assert np.array_equal(s_a.states, s_b.states)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("lam", [0.5, 1.5])
+@pytest.mark.parametrize("L", [9, 10, 11])
+def test_dense_and_lanczos_paths_agree(monkeypatch, L, lam, theta):
+    h = RotatedTfim(L, lam, theta)
+    monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", exact.SOLVER_MAX_SITES)
+    dense = exact.ground_states(h, k=2)
+    monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", 0)
+    lanczos = exact.ground_states(h, k=2)
+    assert np.max(np.abs(dense.energies - lanczos.energies)) < 1e-10
+    for j in range(2):
+        assert exact.infidelity(dense.states[:, j], lanczos.states[:, j]) < 1e-10
 
 
 def test_gap_shrinks_in_broken_phase():

@@ -185,6 +185,31 @@ def test_index_is_append_only(tmp_path):
     assert index[0]["run_id"] != index[1]["run_id"]
 
 
+def test_run_ids_repeat_across_fresh_directories(tmp_path):
+    for sub in ("a", "b"):
+        experiments.run_phase_diagram(tiny_config("phase-diagram", tmp_path / sub, L=[2]))
+    ids = [[rec["run_id"] for rec in json.loads((tmp_path / sub / "index.json").read_text())]
+           for sub in ("a", "b")]
+    assert ids[0] == ids[1]
+
+
+def test_failed_index_write_keeps_previous_index(tmp_path, monkeypatch):
+    cfg = tiny_config("phase-diagram", tmp_path, L=[2])
+    experiments.run_phase_diagram(cfg)
+    before = (tmp_path / "index.json").read_text()
+
+    def half_write(self, text, *args, **kwargs):
+        with open(self, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", half_write)
+    with pytest.raises(OSError, match="disk full"):
+        experiments.run_phase_diagram(cfg)
+    assert (tmp_path / "index.json").read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json", "phase_diagram.csv"]
+
+
 def test_runner_rerun_is_deterministic(tmp_path):
     cfg1 = tiny_config("uniformity", tmp_path / "a", n_iter=40)
     cfg2 = tiny_config("uniformity", tmp_path / "b", n_iter=40)
