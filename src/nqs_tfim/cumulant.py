@@ -28,12 +28,13 @@ def fwht(v: np.ndarray) -> np.ndarray:
         raise ValueError(f"length {n} is not a power of two")
     h = 1
     while h < n:
-        v = v.reshape(-1, 2, h)
-        a = v[:, 0, :] + v[:, 1, :]
-        b = v[:, 0, :] - v[:, 1, :]
-        v = np.stack([a, b], axis=1)
+        pairs = v.reshape(-1, 2, h)
+        x, y = pairs[:, 0, :], pairs[:, 1, :]
+        a = x + y
+        np.subtract(x, y, out=y)
+        x[...] = a
         h *= 2
-    return v.reshape(n)
+    return v
 
 
 def subset_orders(L: int) -> np.ndarray:

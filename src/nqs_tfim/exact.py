@@ -57,12 +57,12 @@ class SpectrumSummary:
 def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     """Lowest k eigenpairs of H.
 
-    Dense symmetric solve for L <= 10; Lanczos (scipy eigsh on
-    hamiltonian.matvec, which reads the cached element table) for
-    10 < L <= 16. The Lanczos start vector is seeded, so repeated calls
-    return bit-identical states; it is random rather than uniform because
-    at theta = 0 a uniform vector lies in one parity sector and Lanczos
-    would never reach the lowest state of the other.
+    Dense symmetric solve for L <= 10; Lanczos (scipy eigsh on the cached
+    CSR matrix of H, `h.elements`) for 10 < L <= 16. The Lanczos start
+    vector is seeded, so repeated calls return bit-identical states; it
+    is random rather than uniform because at theta = 0 a uniform vector
+    lies in one parity sector and Lanczos would never reach the lowest
+    state of the other.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -72,13 +72,10 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
         m = hamiltonian.dense_matrix(h)
         energies, vecs = scipy.linalg.eigh(m, subset_by_index=[0, k - 1])
     else:
-        op = scipy.sparse.linalg.LinearOperator(
-            (h.dim, h.dim), matvec=lambda v: hamiltonian.matvec(h, v), dtype=float
-        )
         v0 = np.random.default_rng(0).standard_normal(h.dim)
         energies, vecs = scipy.sparse.linalg.eigsh(
-            op, k=k, which="SA", tol=1e-12, maxiter=5000, ncv=min(h.dim - 1, 40),
-            v0=v0,
+            h.elements, k=k, which="SA", tol=1e-12, maxiter=5000,
+            ncv=min(h.dim - 1, 40), v0=v0,
         )
         order = np.argsort(energies)
         energies, vecs = energies[order], vecs[:, order]

@@ -357,8 +357,8 @@ def run_uniformity_sweep(cfg: ExperimentConfig) -> int:
     return failures
 
 
-def _cumulant_point(out, index, cfg, L, lam, theta, alpha, point_seed):
-    """Cumulant comparison at one (L, theta, alpha) point."""
+def _cumulant_point(out, index, kind, cfg, L, lam, theta, alpha, point_seed):
+    """Cumulant comparison at one (L, theta, alpha) point, indexed as `kind`."""
     h = RotatedTfim(L, lam, theta)
     summary = exact.ground_states(h, k=1)
     psi = summary.states[:, 0]
@@ -397,7 +397,7 @@ def _cumulant_point(out, index, cfg, L, lam, theta, alpha, point_seed):
                    ["rank", "bitmask", "order", "re_c_exact", "im_c_exact",
                     "abs_c_exact", "re_c_rbm", "im_c_rbm", "abs_c_rbm",
                     "rel_error"], coeff_rows)
-    index.add("cumulant",
+    index.add(kind,
               {"L": L, "lambda": lam, "theta": theta, "alpha": alpha},
               {"n_var": n_var, "eta": eta,
                "rbm_infidelity": exact.infidelity(best.state, psi),
@@ -415,8 +415,8 @@ def run_cumulant_analysis(cfg: ExperimentConfig) -> int:
     for theta in cfg.theta:
         for alpha in cfg.alpha:
             try:
-                _cumulant_point(out, index, cfg, L, lam, theta, alpha,
-                                sr.derive_seed(cfg.seed, p))
+                _cumulant_point(out, index, "cumulant", cfg, L, lam, theta,
+                                alpha, sr.derive_seed(cfg.seed, p))
             except Exception as err:
                 warnings.warn(f"point (theta={theta}, alpha={alpha}) failed: {err}")
                 failures += 1
@@ -434,8 +434,8 @@ def run_size_scaling(cfg: ExperimentConfig) -> int:
     for L in cfg.L:
         for theta in cfg.theta:
             try:
-                _cumulant_point(out, index, cfg, L, lam, theta, alpha,
-                                sr.derive_seed(cfg.seed, p))
+                _cumulant_point(out, index, "size-scaling", cfg, L, lam, theta,
+                                alpha, sr.derive_seed(cfg.seed, p))
             except Exception as err:
                 warnings.warn(f"point (L={L}, theta={theta}) failed: {err}")
                 failures += 1

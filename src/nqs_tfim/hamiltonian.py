@@ -7,16 +7,18 @@ coefficients, stored as (x_mask, z_mask, coeff) triples. The matrix element
 of coeff * Z_A X_B between <s| and |s'> is nonzero only for s' = s ^ B and
 then equals coeff * prod_{i in A} s_i.
 
-Every routine that applies H to a full vector reads one table, built on
-first use and cached on the instance: per term, the flip mask B and the
-values coeff * prod_{i in A} s_i over all 2^L configurations s. `row`
-works from the term list directly and serves as the independent oracle.
+Every routine that applies H to a full vector reads one scipy.sparse CSR
+matrix, built on first use and cached on the instance. Row s holds one
+entry per flip mask B, at column s ^ B: the sum over the terms with that
+mask of coeff * prod_{i in A} s_i. `row` works from the term list directly
+and serves as the independent oracle.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from . import hilbert
 
@@ -40,13 +42,23 @@ class RotatedTfim:
         return 1 << self.L
 
     @cached_property
-    def elements(self) -> tuple:
-        """Per term, (x_mask, values): values[s] is the term's matrix
-        element between <s| and |s ^ x_mask>. Takes n_terms * 2^L * 8 bytes."""
-        idx = np.arange(self.dim)
-        return tuple(
-            (x_mask, coeff * hilbert.parity_in_mask(idx, z_mask))
-            for x_mask, z_mask, coeff in self.terms
+    def elements(self) -> scipy.sparse.csr_array:
+        """H as a CSR matrix with one entry per flip mask in every row.
+
+        Masks are stored in ascending order; an entry is the sum of its
+        mask's terms, added in `terms` order starting from 0.0. Takes
+        n_masks * 2^L * 12 bytes.
+        """
+        idx = np.arange(self.dim, dtype=np.int32)
+        masks = sorted({x_mask for x_mask, _, _ in self.terms})
+        column = {x_mask: k for k, x_mask in enumerate(masks)}
+        data = np.zeros((self.dim, len(masks)))
+        for x_mask, z_mask, coeff in self.terms:
+            data[:, column[x_mask]] += coeff * hilbert.parity_in_mask(idx, z_mask)
+        indices = idx[:, None] ^ np.array(masks, dtype=np.int32)
+        indptr = np.arange(self.dim + 1, dtype=np.int32) * len(masks)
+        return scipy.sparse.csr_array(
+            (data.ravel(), indices.ravel(), indptr), shape=(self.dim, self.dim)
         )
 
 
@@ -94,45 +106,28 @@ def dense_matrix(h: RotatedTfim) -> np.ndarray:
     """Full 2^L x 2^L real symmetric matrix (L <= 14)."""
     if h.L > DENSE_MAX_SITES:
         raise ValueError(f"dense matrix refused for L={h.L} > {DENSE_MAX_SITES}")
-    dim = h.dim
-    idx = np.arange(dim)
-    m = np.zeros((dim, dim))
-    for x_mask, values in h.elements:
-        m[idx, idx ^ x_mask] += values
-    return m
+    return h.elements.toarray()
 
 
 def matvec(h: RotatedTfim, v: np.ndarray) -> np.ndarray:
-    """H @ v from the cached element table, O(n_terms * 2^L)."""
-    idx = np.arange(h.dim)
-    out = np.zeros_like(np.asarray(v, dtype=np.result_type(v, float)))
-    for x_mask, values in h.elements:
-        out += values * v[idx ^ x_mask]
-    return out
+    """H @ v from the cached CSR matrix, O(n_masks * 2^L).
 
-
-def _grouped_elements(h: RotatedTfim):
-    """Matrix elements merged per flip mask: (x_mask, values over s) pairs.
-
-    values[s] = H_{s, s^x_mask}; terms sharing a flip mask are summed
-    before any sign inspection.
+    A complex v is applied as two real products, so the real matrix is
+    never converted to complex.
     """
-    groups = {}
-    for x_mask, values in h.elements:
-        groups[x_mask] = groups.get(x_mask, 0.0) + values
-    return groups.items()
+    m = h.elements
+    v = np.asarray(v)
+    if np.iscomplexobj(v):
+        return m @ v.real + 1j * (m @ v.imag)
+    return m @ v
 
 
 def is_stoquastic(h: RotatedTfim, tol: float = 1e-12) -> bool:
     """True iff every off-diagonal matrix element is <= tol."""
     if h.L > DENSE_MAX_SITES:
         raise ValueError(f"stoquasticity scan refused for L={h.L} > {DENSE_MAX_SITES}")
-    for x_mask, vals in _grouped_elements(h):
-        if x_mask == 0:
-            continue
-        if np.any(vals > tol):
-            return False
-    return True
+    m = h.elements.tocoo()
+    return not np.any(m.data[m.row != m.col] > tol)
 
 
 def phase_amplitude_decomposition(h: RotatedTfim, s: int, sp: int):
@@ -159,14 +154,9 @@ def stoquastic_energy(h: RotatedTfim, amplitudes: np.ndarray) -> float:
     norm = np.sum(a * a)
     if norm == 0:
         raise ValueError("amplitude vector is identically zero")
-    idx = np.arange(h.dim)
-    total = 0.0
-    for x_mask, vals in _grouped_elements(h):
-        if x_mask == 0:
-            total += np.sum(vals * a * a)
-        else:
-            total -= np.sum(np.abs(vals) * a[idx ^ x_mask] * a)
-    return total / norm
+    m = h.elements.tocoo()
+    sign_free = np.where(m.row == m.col, m.data, -np.abs(m.data))
+    return np.sum(sign_free * a[m.row] * a[m.col]) / norm
 
 
 def parity_expectation(h: RotatedTfim, psi: np.ndarray) -> float:

@@ -195,6 +195,9 @@ def hyperparameter_search(
 ) -> TrialResult:
     """Random search over the learning rate, lowest final energy wins.
 
+    Only converged trials with a finite final energy compete; RuntimeError
+    if there is none.
+
     eta is sampled uniformly on a linear scale in [1e-5, 1e-1] (the
     log-uniform alternative is opt-in).
     """
@@ -211,8 +214,8 @@ def hyperparameter_search(
             eta = float(rng.uniform(lo, hi))
         cfg = replace(base, eta=eta, seed=derive_seed(seed, t))
         trace = optimize(h, cfg)
-        if not trace.converged:
-            failures.append((eta, trace.abort_reason))
+        if not trace.converged or not np.isfinite(trace.final_energy):
+            failures.append((eta, trace.abort_reason or "non-finite final energy"))
             continue
         if best is None or trace.final_energy.real < best.trace.final_energy.real:
             best = TrialResult(cfg, trace)
@@ -232,7 +235,8 @@ class Realization:
 def multi_seed_run(h: RotatedTfim, cfg: SrConfig, n_realizations: int):
     """Independent restarts with seeds fanned out from cfg.seed.
 
-    Returns (realizations, best) where best has the lowest final energy.
+    Returns (realizations, best) where best has the lowest finite final
+    energy; RuntimeError if no realization ends finite.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
@@ -242,5 +246,7 @@ def multi_seed_run(h: RotatedTfim, cfg: SrConfig, n_realizations: int):
         trace = optimize(h, run_cfg)
         state = rbm.full_state_vector(trace.final_params)
         out.append(Realization(run_cfg.seed, trace, state, trace.final_energy.real))
-    best = min(out, key=lambda r: r.energy)
-    return out, best
+    finite = [r for r in out if np.isfinite(r.energy)]
+    if not finite:
+        raise RuntimeError(f"all {n_realizations} realizations ended non-finite")
+    return out, min(finite, key=lambda r: r.energy)

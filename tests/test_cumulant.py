@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nqs_tfim import cumulant, exact, hilbert, rbm
 from nqs_tfim.cumulant import CumulantCoefficients
@@ -45,6 +46,14 @@ def test_fwht_self_inverse(rng):
     for L in (1, 3, 5):
         v = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
         assert np.allclose(cumulant.fwht(cumulant.fwht(v)), (1 << L) * v)
+
+
+def test_fwht_matches_hadamard_matrix(rng):
+    for L in range(1, 9):
+        v = rng.normal(size=1 << L)
+        assert np.allclose(cumulant.fwht(v), scipy.linalg.hadamard(1 << L) @ v)
+        v = v + 1j * rng.normal(size=1 << L)
+        assert np.allclose(cumulant.fwht(v), scipy.linalg.hadamard(1 << L) @ v)
 
 
 def test_fwht_rejects_bad_length():

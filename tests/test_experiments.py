@@ -174,6 +174,8 @@ def test_size_scaling_runner(tmp_path):
     assert experiments.run_size_scaling(cfg) == 0
     curves = [p for p in tmp_path.iterdir() if p.name.startswith("infidelity_curve_")]
     assert len(curves) == 2
+    records = json.loads((tmp_path / "index.json").read_text())
+    assert [r["kind"] for r in records] == ["size-scaling"] * 2
 
 
 def test_index_is_append_only(tmp_path):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nqs_tfim import exact, hamiltonian, sr
+from nqs_tfim import exact, hamiltonian, hilbert, sr
 from nqs_tfim.hamiltonian import RotatedTfim
 
 from conftest import kron_hamiltonian, site_operator, PAULI_X
@@ -115,6 +115,40 @@ def test_element_table_is_built_lazily():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert "elements" not in vars(h)
+
+
+def test_dense_matrix_matches_per_term_accumulation():
+    # entries are sums of the terms sharing a flip mask, added in term order
+    h = RotatedTfim(6, 1.3, 0.4)
+    idx = np.arange(h.dim)
+    ref = np.zeros((h.dim, h.dim))
+    for x_mask, z_mask, coeff in h.terms:
+        ref[idx, idx ^ x_mask] += coeff * hilbert.parity_in_mask(idx, z_mask)
+    assert np.array_equal(hamiltonian.dense_matrix(h), ref)
+
+
+@pytest.mark.parametrize("L", [10, 12])
+def test_matvec_matches_dense_at_lanczos_sizes(L, rng):
+    h = RotatedTfim(L, 1.1, 0.3)
+    m = hamiltonian.dense_matrix(h)
+    v = rng.normal(size=h.dim)
+    assert np.allclose(hamiltonian.matvec(h, v), m @ v, rtol=0, atol=1e-12)
+    v = v + 1j * rng.normal(size=h.dim)
+    assert np.allclose(hamiltonian.matvec(h, v), m @ v, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 2, np.pi])
+@pytest.mark.parametrize("L", range(2, 9))
+def test_stoquastic_scans_match_dense_reference(L, theta, rng):
+    h = RotatedTfim(L, 0.9, theta)
+    m = hamiltonian.dense_matrix(h)
+    diag = np.diag(np.diag(m))
+    off = m - diag
+    assert hamiltonian.is_stoquastic(h) == bool(np.all(off <= 1e-12))
+    sign_free = diag - np.abs(off)
+    a = rng.uniform(0.1, 1.0, size=h.dim)
+    assert hamiltonian.stoquastic_energy(h, a) == pytest.approx(
+        a @ sign_free @ a / (a @ a), rel=1e-12)
 
 
 def test_spectrum_theta_invariant():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -264,3 +266,43 @@ def test_multi_seed_run_best_is_lowest():
     for r in runs:
         assert r.state.shape == (8,)
         assert np.linalg.norm(r.state) == pytest.approx(1.0)
+
+
+def ending_in_nan_for(bad_seeds, monkeypatch):
+    """Patch sr.optimize so runs with a seed in bad_seeds end in NaN energy
+    while still reporting convergence."""
+    real = sr.optimize
+
+    def patched(h, cfg, w0=None):
+        trace = real(h, cfg, w0)
+        if cfg.seed in bad_seeds:
+            trace = dataclasses.replace(trace, energies=np.append(trace.energies, np.nan))
+        return trace
+
+    monkeypatch.setattr(sr, "optimize", patched)
+
+
+def test_multi_seed_run_never_picks_non_finite(monkeypatch):
+    h = RotatedTfim(3, 1.5, 0.0)
+    cfg = SrConfig(eta=0.02, n_iter=20, seed=11)
+    ending_in_nan_for({sr.derive_seed(11, 0)}, monkeypatch)
+    runs, best = sr.multi_seed_run(h, cfg, 2)
+    assert np.isnan(runs[0].energy)
+    assert best is runs[1] and np.isfinite(best.energy)
+
+
+def test_multi_seed_run_raises_when_none_finite(monkeypatch):
+    h = RotatedTfim(3, 1.5, 0.0)
+    cfg = SrConfig(eta=0.02, n_iter=20, seed=11)
+    ending_in_nan_for({sr.derive_seed(11, i) for i in range(2)}, monkeypatch)
+    with pytest.raises(RuntimeError):
+        sr.multi_seed_run(h, cfg, 2)
+
+
+def test_hyperparameter_search_never_picks_non_finite(monkeypatch):
+    h = RotatedTfim(3, 1.5, 0.0)
+    base = SrConfig(n_iter=20)
+    ending_in_nan_for({sr.derive_seed(9, 0)}, monkeypatch)
+    best = sr.hyperparameter_search(h, trials=2, seed=9, base=base)
+    assert best.config.seed == sr.derive_seed(9, 1)
+    assert np.isfinite(best.trace.final_energy)
