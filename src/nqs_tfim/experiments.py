@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import cumulant, exact, rbm, sr
+from . import _blas, cumulant, exact, rbm, sr
 from .hamiltonian import RotatedTfim
 from .sr import SrConfig
 
@@ -123,12 +123,16 @@ class ResultIndex:
         self.out_dir = Path(out_dir)
         self.path = self.out_dir / "index.json"
         self.records = []
+        self.blas_threads = {name: get() for name, (_, get)
+                             in _blas.openblas_libraries().items()}
         if self.path.exists():
             self.records = json.loads(self.path.read_text())
 
     def add(self, kind: str, key: dict, metrics: dict, artifacts: list, seed: int):
         """Append a record; its run_id depends only on the kind, the record's
-        position and the key and master seed, so reruns repeat it."""
+        position and the key and master seed, so reruns repeat it. The
+        record also holds the thread count each loaded OpenBLAS reported
+        when this index was opened."""
         digest = hashlib.sha256(
             json.dumps([key, seed], sort_keys=True).encode()).hexdigest()
         self.records.append({
@@ -137,6 +141,7 @@ class ResultIndex:
             "key": key,
             "metrics": metrics,
             "artifacts": [str(a) for a in artifacts],
+            "blas_threads": dict(self.blas_threads),
         })
 
     def flush(self):

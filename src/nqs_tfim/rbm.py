@@ -77,11 +77,15 @@ def _log_cosh(z: np.ndarray) -> np.ndarray:
     return z - LOG2 + np.log1p(np.exp(-2.0 * z))
 
 
+def _log_psi_and_theta(w: RbmParameters, s: np.ndarray):
+    """log Psi and the hidden fields theta = s W + b for the spin rows s."""
+    theta = s @ w.W + w.b
+    return s @ w.a + np.sum(_log_cosh(theta), axis=1), theta
+
+
 def log_psi_all(w: RbmParameters) -> np.ndarray:
     """log Psi for every configuration, shape (2^L,)."""
-    s = hilbert.all_spins(w.L)
-    chi = s @ w.W + w.b
-    return s @ w.a + np.sum(_log_cosh(chi), axis=1)
+    return _log_psi_and_theta(w, hilbert.all_spins(w.L))[0]
 
 
 def log_psi(w: RbmParameters, index: int) -> complex:

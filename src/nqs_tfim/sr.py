@@ -5,15 +5,37 @@ configurations; there is no Monte Carlo sampling anywhere. Forces follow
 f_k = <E_loc O*_k> - <E_loc><O*_k> and the quantum Fisher matrix is
 S = <O* O> - <O*><O>; the update solves (S + eps*1) d = f and moves the
 parameters by -eta*d (downhill).
+
+The averages use the RBM's product structure instead of the (2^L, n_var)
+log-derivative matrix O. With s_hat = [1, s_1..s_L] and
+t_hat = [1, tanh theta_1..tanh theta_M], theta = s W + b, every
+log-derivative is a product s_hat_i t_hat_a: a_i is the pair (i, 0), b_a is
+(0, a), W_ia is (i, a), and (0, 0) is the constant 1. So
+
+    <O*_(i,a) O_(j,b)> = sum_s p s_hat_i s_hat_j conj(t_hat_a) t_hat_b
+
+is one real matrix product R^T G. R (2^L, P) holds s_hat_i s_hat_j for
+i <= j and depends only on L; G (2^L, Q), complex and read as (2^L, 2Q)
+real, holds p conj(t_hat_a) t_hat_b for a <= b; P = (L+1)(L+2)/2 and
+Q = (M+1)(M+2)/2, padded with zero columns to a multiple of 8. S and <O>
+are read out of the (P, Q) result through a fixed index map, conjugated
+where a > b. The product costs 4 P Q 2^L flops, against 8 n_var^2 2^L for
+the complex O^H O: at L = M = 12, 143 MFlop (136 unpadded) against 925.
+G and R take 16 Q 2^L and 8 P 2^L bytes, 6.3 and 3.0 MB there, where O
+alone took 11 MB. The forces come from the small product
+s_hat^T (p E_loc conj(t_hat)). working_set_bytes estimates the memory of
+one iteration, and optimize refuses a run that would not fit.
 """
 
+import functools
+import os
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from . import hamiltonian, rbm
+from . import hamiltonian, hilbert, rbm
 from .hamiltonian import RotatedTfim, row
 from .rbm import RbmParameters
 
@@ -80,9 +102,9 @@ def local_energy(h: RotatedTfim, w: RbmParameters, s: int) -> complex:
     return complex(total)
 
 
-def _born_energy(h: RotatedTfim, w: RbmParameters):
-    """Born weights p, local energies, energy and variance of the RBM state."""
-    lp = rbm.log_psi_all(w)
+def _born_energy(h: RotatedTfim, lp: np.ndarray):
+    """Born weights p, local energies, energy and variance of the state
+    with log-amplitudes lp."""
     psi = np.exp(lp - np.max(lp.real))
     p = np.abs(psi) ** 2
     p /= p.sum()
@@ -92,12 +114,87 @@ def _born_energy(h: RotatedTfim, w: RbmParameters):
     return p, e_loc, energy, var
 
 
+def _pairs(n: int):
+    """Pairs i <= j of n factors in row-major order, and the symmetric
+    (n, n) map from (i, j) to the pair's position."""
+    i, j = np.triu_indices(n)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[i, j] = pos[j, i] = np.arange(len(i))
+    return i, j, pos
+
+
+def _in_parameter_order(grid: np.ndarray) -> np.ndarray:
+    """Entries of an (L+1, M+1) grid over the factor pairs (i, a): the
+    constant (0, 0), then a, b and W in the flat parameter order."""
+    return np.concatenate([grid[:1, 0], grid[1:, 0], grid[0, 1:], grid[1:, 1:].ravel()])
+
+
+def _g_columns(M: int) -> int:
+    """Columns of G: the (M+1)(M+2)/2 hidden pairs, padded with zeros to a
+    multiple of 8 (16 real columns). Unpadded, OpenBLAS's dgemm gave
+    results that differed in the last bit between 1 and 2 threads for
+    a third of the (L, M) tried; padded, it gave the same bits for all
+    of them (L = 1..14, M from L/2 to 3L)."""
+    return -(-(M + 1) * (M + 2) // 16) * 8
+
+
+@functools.lru_cache(maxsize=2)
+def _product_layout(L: int, M: int):
+    """Read-only arrays fixed by (L, M): s_hat (2^L, L+1), R (2^L, P), and
+    the (n_var+1, n_var+1) index into the flattened [moments; conj(moments)]
+    of the (P, _g_columns(M)) moments R^T G that reads out <O*_k O_l>, with
+    the constant (0, 0) first."""
+    s_hat = np.ones((1 << L, L + 1))
+    s_hat[:, 1:] = hilbert.all_spins(L)
+    si, sj, s_pos = _pairs(L + 1)
+    r = s_hat[:, si] * s_hat[:, sj]
+    _, _, t_pos = _pairs(M + 1)
+    site, hidden = (_in_parameter_order(g) for g in np.indices((L + 1, M + 1)))
+    n_q = _g_columns(M)
+    readout = (s_pos[site[:, None], site] * n_q + t_pos[hidden[:, None], hidden]
+               + len(si) * n_q * (hidden[:, None] > hidden))
+    for arr in (s_hat, r, readout):
+        arr.setflags(write=False)
+    return s_hat, r, readout
+
+
+def working_set_bytes(L: int, M: int) -> int:
+    """Estimated bytes that one SR iteration at (L, M) holds at once: G, R,
+    s_hat, about six hidden-width complex arrays (theta, the log cosh
+    temporaries, t_hat, p conj(t_hat)), eight state vectors and the CSR
+    matrix of H (at most 2L flip masks per row, 12 bytes each)."""
+    n_p = (L + 1) * (L + 2) // 2
+    per_row = (16 * _g_columns(M) + 8 * n_p + 8 * (L + 1) + 6 * 16 * (M + 1)
+               + 8 * 16 + 2 * L * 12)
+    return per_row << L
+
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _full_expectations(h: RotatedTfim, w: RbmParameters):
-    p, e_loc, energy, var = _born_energy(h, w)
-    o = rbm.log_derivatives_all(w)
-    o_mean = p @ o
-    f = (p * e_loc) @ o.conj() - energy * (p @ o.conj())
-    s_mat = (o.conj() * p[:, None]).T @ o - np.outer(o_mean.conj(), o_mean)
+    M = w.M
+    s_hat, r, readout = _product_layout(w.L, M)
+    lp, theta = rbm._log_psi_and_theta(w, s_hat[:, 1:])
+    p, e_loc, energy, var = _born_energy(h, lp)
+    t_hat = np.ones((len(p), M + 1), dtype=complex)
+    np.tanh(theta, out=t_hat[:, 1:])
+    pt = t_hat.conj()
+    pt *= p[:, None]
+    g = np.zeros((len(p), _g_columns(M)), dtype=complex)
+    col = 0
+    for a in range(M + 1):   # the pairs (a, b >= a), in _pairs order
+        np.multiply(pt[:, a:a + 1], t_hat[:, a:], out=g[:, col:col + M + 1 - a])
+        col += M + 1 - a
+    moments = (r.T @ g.view(np.float64)).view(complex)
+    x = np.take(np.concatenate([moments, moments.conj()]), readout)
+    o_mean = x[0, 1:]
+    s_mat = x[1:, 1:] - np.outer(o_mean.conj(), o_mean)
+    s_mat = (s_mat + s_mat.conj().T) / 2   # Hermitian bit for bit
+    pt *= e_loc[:, None]
+    y = (s_hat.T @ pt.view(np.float64)).view(complex)
+    f = _in_parameter_order(y)[1:] - energy * o_mean.conj()
     return energy, var, f, s_mat
 
 
@@ -113,7 +210,7 @@ def expectations(h: RotatedTfim, w: RbmParameters):
 
 def energy_and_variance(h: RotatedTfim, w: RbmParameters):
     """Exact (energy, variance of the local energy) for the parameters."""
-    _, _, energy, var = _born_energy(h, w)
+    _, _, energy, var = _born_energy(h, rbm.log_psi_all(w))
     return energy, var
 
 
@@ -143,7 +240,19 @@ def sr_step(w: RbmParameters, f: np.ndarray, s_mat: np.ndarray, cfg: SrConfig) -
 
 
 def optimize(h: RotatedTfim, cfg: SrConfig, w0: RbmParameters | None = None) -> OptimizationTrace:
-    """Run n_iter SR steps from a seeded random initialization."""
+    """Run n_iter SR steps from a seeded random initialization.
+
+    Raises MemoryError before allocating anything of size 2^L when
+    working_set_bytes exceeds the machine's physical memory. Stops early,
+    with converged False and an abort_reason, on a non-finite energy,
+    variance, force or S entry, on divergence, or on a failed solve.
+    """
+    M = w0.M if w0 is not None else rbm.n_hidden(h.L, cfg.alpha)
+    need, limit = working_set_bytes(h.L, M), _physical_memory_bytes()
+    if need > limit:
+        raise MemoryError(
+            f"SR at L={h.L}, M={M} needs about {need:.3g} bytes, more than the "
+            f"{limit:.3g} bytes of physical memory")
     w = w0 if w0 is not None else rbm.init_random(h.L, cfg.alpha, cfg.seed, cfg.init_scale)
     energies = np.zeros(cfg.n_iter, dtype=complex)
     variances = np.zeros(cfg.n_iter)
@@ -161,6 +270,9 @@ def optimize(h: RotatedTfim, cfg: SrConfig, w0: RbmParameters | None = None) -> 
         n_done = it + 1
         if not np.isfinite(energy):
             abort = f"non-finite energy at iteration {it}"
+            break
+        if not (np.isfinite(var) and np.isfinite(f).all() and np.isfinite(s_mat).all()):
+            abort = f"non-finite variance, forces or S at iteration {it}"
             break
         if e_init is None:
             e_init = abs(energy)

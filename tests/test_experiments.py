@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nqs_tfim import cli, experiments
+from nqs_tfim import _blas, cli, experiments
 from nqs_tfim.experiments import ExperimentConfig, KINDS, RUNNERS
 
 
@@ -116,6 +116,8 @@ def test_phase_diagram_runner(tmp_path):
     index = json.loads((tmp_path / "index.json").read_text())
     assert index[0]["kind"] == "phase-diagram"
     assert index[0]["metrics"]["n_failures"] == 0
+    assert index[0]["blas_threads"] == {
+        name: get() for name, (_, get) in _blas.openblas_libraries().items()}
 
 
 def test_degeneracy_runner(tmp_path):

@@ -1,9 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from nqs_tfim import exact, rbm, sr
+from nqs_tfim import exact, hilbert, rbm, sr
 from nqs_tfim.hamiltonian import RotatedTfim
 from nqs_tfim.rbm import RbmParameters
 from nqs_tfim.sr import SrConfig
@@ -95,12 +96,58 @@ def double_loop_expectations(h, w):
 
 def test_expectations_match_double_loop_oracle(rng):
     h = RotatedTfim(3, 0.9, 0.25)
-    w = random_params(rng, 3)
+    for M in (3, 6):   # alpha = 1 and 2
+        w = random_params(rng, 3, M)
+        energy, f, s_mat = sr.expectations(h, w)
+        e_ref, f_ref, s_ref = double_loop_expectations(h, w)
+        assert energy == pytest.approx(e_ref, abs=1e-10)
+        assert np.allclose(f, f_ref, atol=1e-10)
+        assert np.allclose(s_mat, s_ref, atol=1e-10)
+
+
+def dense_o_expectations(h, w):
+    """Reference: forces and S from the dense (2^L, n_var) log-derivative
+    matrix O, as <E_loc O*> - E <O*> and (p O)^H O - <O>^H <O>. Also
+    returns p and the largest |<E_loc O*>| and |<O* O>| terms, the size
+    of what cancels in f and S."""
+    lp = rbm.log_psi_all(w)
+    psi = np.exp(lp - np.max(lp.real))
+    p = np.abs(psi) ** 2
+    p /= p.sum()
+    e_loc = sr.local_energies(h, psi)
+    energy = np.sum(p * e_loc)
+    o = rbm.log_derivatives_all(w)
+    o_mean = p @ o
+    f = (p * e_loc) @ o.conj() - energy * (p @ o.conj())
+    moments = (o.conj() * p[:, None]).T @ o
+    s_mat = moments - np.outer(o_mean.conj(), o_mean)
+    size_f = np.max(np.abs(p * e_loc) @ np.abs(o))
+    return energy, f, s_mat, p, size_f, np.max(np.abs(moments))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # underflowed amplitudes
+@pytest.mark.parametrize("scale", [0.3, 3.0])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("L", [1, 2, 5, 8])
+def test_expectations_match_dense_o_formula(L, alpha, scale):
+    M = max(1, round(alpha * L))
+    w = random_params(np.random.default_rng(10 * L + M), L, M, scale)
+    if scale > 1:
+        # Re b = 0 gives Re theta(-s) = -Re theta(s), so log cosh takes both
+        # branches; Re a ~ 250/L spreads |psi|^2 over about e^-1000, so some
+        # of the Born weights underflow to 0
+        w = RbmParameters(w.a + 250 / L, 1j * w.b.imag, w.W)
+    h = RotatedTfim(L, 1.1, 0.4)
+    e_ref, f_ref, s_ref, p, size_f, size_s = dense_o_expectations(h, w)
+    if scale > 1:
+        theta = hilbert.all_spins(L) @ w.W + w.b
+        assert (theta.real < 0).any() and (theta.real > 0).any()
+        assert (p == 0).any()
     energy, f, s_mat = sr.expectations(h, w)
-    e_ref, f_ref, s_ref = double_loop_expectations(h, w)
-    assert energy == pytest.approx(e_ref, abs=1e-10)
-    assert np.allclose(f, f_ref, atol=1e-10)
-    assert np.allclose(s_mat, s_ref, atol=1e-10)
+    assert energy == e_ref
+    assert np.max(np.abs(f - f_ref)) <= 1e-12 * size_f
+    assert np.max(np.abs(s_mat - s_ref)) <= 1e-12 * size_s
+    assert np.array_equal(s_mat, s_mat.conj().T)
 
 
 def test_s_matrix_hermitian_psd(rng):
@@ -108,6 +155,7 @@ def test_s_matrix_hermitian_psd(rng):
     w = random_params(rng, 3)
     _, _, s_mat = sr.expectations(h, w)
     assert np.allclose(s_mat, s_mat.conj().T, atol=1e-12)
+    assert np.array_equal(s_mat, s_mat.conj().T)
     evals = np.linalg.eigvalsh(s_mat)
     assert evals.min() > -1e-10
 
@@ -216,6 +264,50 @@ def test_optimize_deterministic():
     t2 = sr.optimize(h, cfg)
     assert np.array_equal(t1.energies, t2.energies)
     assert np.array_equal(t1.final_params.to_vector(), t2.final_params.to_vector())
+
+
+def patch_expectations(monkeypatch, edit):
+    """Pass every result of sr._full_expectations through edit."""
+    real = sr._full_expectations
+    monkeypatch.setattr(sr, "_full_expectations", lambda h, w: edit(*real(h, w)))
+
+
+def test_optimize_aborts_on_non_finite_s_matrix(monkeypatch):
+    def nan_s(energy, var, f, s_mat):
+        s_mat = s_mat.copy()
+        s_mat[0, 1] = np.nan
+        return energy, var, f, s_mat
+
+    patch_expectations(monkeypatch, nan_s)
+    trace = sr.optimize(RotatedTfim(3, 1.5, 0.0), SrConfig(n_iter=5, seed=1))
+    assert not trace.converged
+    assert "non-finite" in trace.abort_reason
+    assert len(trace.energies) == 1
+
+
+def test_optimize_aborts_on_infinite_variance(monkeypatch):
+    patch_expectations(monkeypatch, lambda energy, var, f, s_mat: (energy, np.inf, f, s_mat))
+    trace = sr.optimize(RotatedTfim(3, 1.5, 0.0), SrConfig(n_iter=5, seed=1))
+    assert not trace.converged
+    assert "non-finite" in trace.abort_reason
+    assert trace.variances[-1] == np.inf
+
+
+def test_working_set_estimate_at_the_largest_size():
+    assert sr.working_set_bytes(24, rbm.n_hidden(24, 4.0)) > 1e12
+
+
+def test_optimize_refuses_a_run_that_cannot_fit(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a 2^L array was allocated before the memory check")
+
+    monkeypatch.setattr(sr, "_physical_memory_bytes", lambda: 10**6)
+    monkeypatch.setattr(rbm, "log_psi_all", forbidden)
+    monkeypatch.setattr(hilbert, "all_spins", forbidden)
+    need = sr.working_set_bytes(10, 10)
+    message = f"L=10, M=10 needs about {need:.3g} bytes, more than the 1e+06 bytes"
+    with pytest.raises(MemoryError, match=re.escape(message)):
+        sr.optimize(RotatedTfim(10, 1.0, 0.0), SrConfig(n_iter=1))
 
 
 def test_config_validation():
