@@ -15,6 +15,9 @@ from . import exact, hilbert
 
 DEFAULT_INIT_SCALE = 0.01
 LOG2 = np.log(2.0)
+# Rows per block of the fused kernels here and in sr: their temporaries stay
+# in cache, and the result does not depend on the BLAS thread count.
+ROW_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -71,29 +74,62 @@ def init_random(L: int, alpha: float, seed: int, scale: float = DEFAULT_INIT_SCA
     return RbmParameters.from_vector(vec, L, M)
 
 
-def _log_cosh(z: np.ndarray) -> np.ndarray:
-    # Reflect to Re z >= 0 (cosh is even), then log cosh z = z - log 2 + log1p(e^{-2z}).
-    z = np.where(z.real >= 0, z, -z)
-    return z - LOG2 + np.log1p(np.exp(-2.0 * z))
+def log_psi_and_tanh(w: RbmParameters, s: np.ndarray):
+    """log Psi and tanh theta, theta = s W + b, for the spin rows s (n, L).
 
+    Both come from one exponential per (row, hidden unit), in real
+    arithmetic on blocks of ROW_BLOCK rows. With z = sigma theta, sigma = +-1
+    chosen so that Re z >= 0, e^{-2z} = u e^{iy}, u = exp(-2 Re z) <= 1,
+    y = -2 Im z, and d = 1 + e^{-2z} = 2 + expm1(-2z):
 
-def _log_psi_and_theta(w: RbmParameters, s: np.ndarray):
-    """log Psi and the hidden fields theta = s W + b for the spin rows s."""
-    theta = s @ w.W + w.b
-    return s @ w.a + np.sum(_log_cosh(theta), axis=1), theta
+        log cosh theta = z - log 2 + log d,
+        tanh theta = sigma (1 - u^2 - 2i Im d) / |d|^2.
+
+    cos y and sin y come from tan(y/2), so Re d = (1 + u - expm1(-2 Re z)
+    tan^2) / (1 + tan^2) and 1 - u^2 = -expm1(-2 Re z) (1 + u) are sums and
+    products of same-signed terms: tanh keeps a few ulp at any |theta|, and
+    |d| is not small except near the poles theta = i pi (k + 1/2), so no
+    row's log underflows. The imaginary part of log Psi sums principal
+    arguments, as sum_j log cosh theta_j does.
+    """
+    M = w.M
+    # one real product gives [Re(s a), Re(s W), Im(s a), Im(s W)]
+    coef = np.hstack([w.a.real[:, None], w.W.real, w.a.imag[:, None], w.W.imag])
+    lp = np.empty(len(s), dtype=complex)
+    t = np.empty((len(s), M), dtype=complex)
+    for lo in range(0, len(s), ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        x = s[rows] @ coef
+        theta_re = x[:, 1:M + 1] + w.b.real
+        sigma = np.copysign(1.0, theta_re)
+        zr = theta_re * sigma
+        zi = (x[:, M + 2:] + w.b.imag) * sigma
+        tn = np.tan(zi)                       # tan(y/2) = -tn
+        tn2 = tn * tn
+        em1 = np.expm1(-2.0 * zr)
+        u = np.exp(-2.0 * zr)
+        q = 1.0 / (1.0 + tn2)
+        d_re = (1.0 + u - em1 * tn2) * q
+        v = 2.0 * u * tn * q                  # -Im d
+        d2 = d_re * d_re + v * v
+        lp[rows].real = x[:, 0] - M * LOG2 + np.sum(zr + 0.5 * np.log(d2), axis=1)
+        lp[rows].imag = x[:, M + 1] + np.sum(zi - np.arctan2(v, d_re), axis=1)
+        sigma /= d2
+        np.multiply(-em1 * (1.0 + u), sigma, out=t[rows].real)
+        np.multiply(2.0 * v, sigma, out=t[rows].imag)
+    return lp, t
 
 
 def log_psi_all(w: RbmParameters) -> np.ndarray:
     """log Psi for every configuration, shape (2^L,)."""
-    return _log_psi_and_theta(w, hilbert.all_spins(w.L))[0]
+    return log_psi_and_tanh(w, hilbert.all_spins(w.L))[0]
 
 
 def log_psi(w: RbmParameters, index: int) -> complex:
     """log Psi(s) for a single configuration index."""
     hilbert.check_config(index, w.L)
-    s = np.array([1.0 if (index >> i) & 1 else -1.0 for i in range(w.L)])
-    chi = s @ w.W + w.b
-    return complex(s @ w.a + np.sum(_log_cosh(chi)))
+    s = np.array([[1.0 if (index >> i) & 1 else -1.0 for i in range(w.L)]])
+    return complex(log_psi_and_tanh(w, s)[0][0])
 
 
 def log_derivatives(w: RbmParameters, index: int) -> np.ndarray:

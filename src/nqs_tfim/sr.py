@@ -14,17 +14,21 @@ log-derivative is a product s_hat_i t_hat_a: a_i is the pair (i, 0), b_a is
 
     <O*_(i,a) O_(j,b)> = sum_s p s_hat_i s_hat_j conj(t_hat_a) t_hat_b
 
-is one real matrix product R^T G. R (2^L, P) holds s_hat_i s_hat_j for
-i <= j and depends only on L; G (2^L, Q), complex and read as (2^L, 2Q)
-real, holds p conj(t_hat_a) t_hat_b for a <= b; P = (L+1)(L+2)/2 and
-Q = (M+1)(M+2)/2, padded with zero columns to a multiple of 8. S and <O>
-are read out of the (P, Q) result through a fixed index map, conjugated
-where a > b. The product costs 4 P Q 2^L flops, against 8 n_var^2 2^L for
-the complex O^H O: at L = M = 12, 143 MFlop (136 unpadded) against 925.
-G and R take 16 Q 2^L and 8 P 2^L bytes, 6.3 and 3.0 MB there, where O
-alone took 11 MB. The forces come from the small product
-s_hat^T (p E_loc conj(t_hat)). working_set_bytes estimates the memory of
-one iteration, and optimize refuses a run that would not fit.
+is one real matrix product R^T G. R (2^L, P) holds s_hat_i s_hat_j for the
+pair (0, 0) and i < j (s_hat_i^2 = 1, so (i, i) reads (0, 0)) and depends
+only on L; G, complex and read as real, holds p conj(t_hat_a) t_hat_b for
+a <= b; P = 1 + L(L+1)/2 and Q = (M+1)(M+2)/2, padded with zero columns to
+a multiple of 8. S and <O> are read out of the (P, Q) result through a
+fixed index map, conjugated where a > b. log Psi and tanh theta come from
+one fused kernel (rbm.log_psi_and_tanh); then G is filled and R^T G summed
+over blocks of rbm.ROW_BLOCK rows in a fixed order, so G takes
+16 Q ROW_BLOCK bytes, not 16 Q 2^L, and the sums do not depend on the BLAS
+thread count. The product costs 4 P Q 2^L flops, against 8 n_var^2 2^L for
+the complex O^H O: at L = M = 12, 124 MFlop against 925, with R 2.6 MB and
+G 0.8 MB, where O alone took 11 MB. The forces come from the small products
+s_hat^T (p E_loc conj(t_hat)) over the same blocks, and the update from
+LAPACK's zhesv. working_set_bytes estimates the memory of one iteration,
+and optimize refuses a run that would not fit.
 """
 
 import functools
@@ -33,7 +37,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from . import hamiltonian, hilbert, rbm
 from .hamiltonian import RotatedTfim, row
@@ -42,6 +46,8 @@ from .rbm import RbmParameters
 SOLVE_RESIDUAL_TOL = 1e-10
 DIVERGENCE_FACTOR = 1e3
 ETA_SEARCH_RANGE = (1e-5, 1e-1)
+# final energies this close (relative) to the lowest are ties
+ENERGY_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,16 +115,24 @@ def _born_energy(h: RotatedTfim, lp: np.ndarray):
     p = np.abs(psi) ** 2
     p /= p.sum()
     e_loc = local_energies(h, psi)
+    # configurations of zero Born weight are left out of every sum, also
+    # where |psi| is so small that E_loc overflowed
+    e_loc[p == 0] = 0
     energy = complex(np.sum(p * e_loc))
     var = float(np.sum(p * np.abs(e_loc - energy) ** 2))
     return p, e_loc, energy, var
 
 
-def _pairs(n: int):
+def _pairs(n: int, diagonal: bool = True):
     """Pairs i <= j of n factors in row-major order, and the symmetric
-    (n, n) map from (i, j) to the pair's position."""
+    (n, n) map from (i, j) to the pair's position. With diagonal False the
+    pairs are (0, 0) and i < j, and every (i, i) maps to (0, 0): for spins,
+    s_hat_i^2 = 1 = s_hat_0^2."""
     i, j = np.triu_indices(n)
-    pos = np.empty((n, n), dtype=np.intp)
+    if not diagonal:
+        keep = (i < j) | (i == 0)
+        i, j = i[keep], j[keep]
+    pos = np.zeros((n, n), dtype=np.intp)
     pos[i, j] = pos[j, i] = np.arange(len(i))
     return i, j, pos
 
@@ -146,7 +160,7 @@ def _product_layout(L: int, M: int):
     the constant (0, 0) first."""
     s_hat = np.ones((1 << L, L + 1))
     s_hat[:, 1:] = hilbert.all_spins(L)
-    si, sj, s_pos = _pairs(L + 1)
+    si, sj, s_pos = _pairs(L + 1, diagonal=False)
     r = s_hat[:, si] * s_hat[:, sj]
     _, _, t_pos = _pairs(M + 1)
     site, hidden = (_in_parameter_order(g) for g in np.indices((L + 1, M + 1)))
@@ -159,14 +173,15 @@ def _product_layout(L: int, M: int):
 
 
 def working_set_bytes(L: int, M: int) -> int:
-    """Estimated bytes that one SR iteration at (L, M) holds at once: G, R,
-    s_hat, about six hidden-width complex arrays (theta, the log cosh
-    temporaries, t_hat, p conj(t_hat)), eight state vectors and the CSR
-    matrix of H (at most 2L flip masks per row, 12 bytes each)."""
-    n_p = (L + 1) * (L + 2) // 2
-    per_row = (16 * _g_columns(M) + 8 * n_p + 8 * (L + 1) + 6 * 16 * (M + 1)
-               + 8 * 16 + 2 * L * 12)
-    return per_row << L
+    """Estimated bytes that one SR iteration at (L, M) holds at once. Per
+    configuration: R, s_hat, tanh theta and log Psi, eight state vectors and
+    the CSR matrix of H (at most 2L flip masks per row, 12 bytes each). Per
+    row of one block: G, t_hat and p conj(t_hat), and the fused kernel's
+    real temporaries (x and about 16 of hidden width)."""
+    n_p = 1 + L * (L + 1) // 2
+    per_row = 8 * n_p + 8 * (L + 1) + 16 * M + 16 + 8 * 16 + 2 * L * 12
+    per_block_row = 16 * _g_columns(M) + 2 * 16 * (M + 1) + 18 * 8 * (M + 1)
+    return (per_row << L) + per_block_row * min(1 << L, rbm.ROW_BLOCK)
 
 
 def _physical_memory_bytes() -> int:
@@ -176,25 +191,31 @@ def _physical_memory_bytes() -> int:
 def _full_expectations(h: RotatedTfim, w: RbmParameters):
     M = w.M
     s_hat, r, readout = _product_layout(w.L, M)
-    lp, theta = rbm._log_psi_and_theta(w, s_hat[:, 1:])
+    lp, t = rbm.log_psi_and_tanh(w, s_hat[:, 1:])
     p, e_loc, energy, var = _born_energy(h, lp)
-    t_hat = np.ones((len(p), M + 1), dtype=complex)
-    np.tanh(theta, out=t_hat[:, 1:])
-    pt = t_hat.conj()
-    pt *= p[:, None]
-    g = np.zeros((len(p), _g_columns(M)), dtype=complex)
-    col = 0
-    for a in range(M + 1):   # the pairs (a, b >= a), in _pairs order
-        np.multiply(pt[:, a:a + 1], t_hat[:, a:], out=g[:, col:col + M + 1 - a])
-        col += M + 1 - a
-    moments = (r.T @ g.view(np.float64)).view(complex)
+    n_rows = min(len(p), rbm.ROW_BLOCK)
+    t_hat = np.ones((n_rows, M + 1), dtype=complex)
+    g = np.zeros((n_rows, _g_columns(M)), dtype=complex)
+    moments = np.zeros((r.shape[1], 2 * g.shape[1]))
+    y = np.zeros((w.L + 1, 2 * (M + 1)))
+    for lo in range(0, len(p), n_rows):   # fixed block order
+        rows = slice(lo, lo + n_rows)
+        t_hat[:, 1:] = t[rows]
+        pt = t_hat.conj()
+        pt *= p[rows, None]
+        col = 0
+        for a in range(M + 1):   # the pairs (a, b >= a), in _pairs order
+            np.multiply(pt[:, a:a + 1], t_hat[:, a:], out=g[:, col:col + M + 1 - a])
+            col += M + 1 - a
+        moments += r[rows].T @ g.view(np.float64)
+        pt *= e_loc[rows, None]
+        y += s_hat[rows].T @ pt.view(np.float64)
+    moments = moments.view(complex)
     x = np.take(np.concatenate([moments, moments.conj()]), readout)
     o_mean = x[0, 1:]
     s_mat = x[1:, 1:] - np.outer(o_mean.conj(), o_mean)
     s_mat = (s_mat + s_mat.conj().T) / 2   # Hermitian bit for bit
-    pt *= e_loc[:, None]
-    y = (s_hat.T @ pt.view(np.float64)).view(complex)
-    f = _in_parameter_order(y)[1:] - energy * o_mean.conj()
+    f = _in_parameter_order(y.view(complex))[1:] - energy * o_mean.conj()
     return energy, var, f, s_mat
 
 
@@ -215,13 +236,16 @@ def energy_and_variance(h: RotatedTfim, w: RbmParameters):
 
 
 def solve_sr_system(s_mat: np.ndarray, f: np.ndarray, epsilon: float) -> np.ndarray:
-    """Solve (S + eps*1) d = f by a direct Hermitian solve.
+    """Solve (S + eps*1) d = f by LAPACK's zhesv (Bunch-Kaufman).
 
-    Raises RuntimeError if the residual exceeds SOLVE_RESIDUAL_TOL relative
-    to max(|f|, 1).
+    Raises RuntimeError if zhesv reports a singular matrix or the residual
+    exceeds SOLVE_RESIDUAL_TOL relative to max(|f|, 1).
     """
     reg = s_mat + epsilon * np.eye(len(f))
-    delta = scipy.linalg.solve(reg, f, assume_a="her")
+    _, _, delta, info = scipy.linalg.lapack.zhesv(reg, f[:, None])
+    if info != 0:
+        raise RuntimeError(f"SR linear solve failed: zhesv info {info}")
+    delta = delta[:, 0]
     res = np.linalg.norm(reg @ delta - f)
     scale = max(np.linalg.norm(f), 1.0)
     if res > SOLVE_RESIDUAL_TOL * scale:
@@ -301,39 +325,43 @@ class TrialResult:
     trace: OptimizationTrace
 
 
-def hyperparameter_search(
-    h: RotatedTfim, trials: int, seed: int, base: SrConfig,
-    log_uniform: bool = False,
-) -> TrialResult:
+def _lowest(energies) -> int | None:
+    """Index of the lowest finite energy, None if none is finite. Energies
+    within ENERGY_TIE_RTOL (relative) of the lowest count as equal, and the
+    first of them wins, so that a change in the last digits of the
+    arithmetic does not change which run is chosen."""
+    e = np.asarray(energies, dtype=float)
+    finite = np.isfinite(e)
+    if not finite.any():
+        return None
+    e_min = e[finite].min()
+    return int(np.flatnonzero(finite & (e <= e_min + ENERGY_TIE_RTOL * abs(e_min)))[0])
+
+
+def hyperparameter_search(h: RotatedTfim, trials: int, seed: int, base: SrConfig) -> TrialResult:
     """Random search over the learning rate, lowest final energy wins.
 
-    Only converged trials with a finite final energy compete; RuntimeError
-    if there is none.
-
-    eta is sampled uniformly on a linear scale in [1e-5, 1e-1] (the
-    log-uniform alternative is opt-in).
+    eta is sampled uniformly in ETA_SEARCH_RANGE. Only converged trials with
+    a finite final energy compete, ties within ENERGY_TIE_RTOL go to the
+    first trial; RuntimeError if no trial competes.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    lo, hi = ETA_SEARCH_RANGE
-    best = None
+    done = []
     failures = []
     for t in range(trials):
-        if log_uniform:
-            eta = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-        else:
-            eta = float(rng.uniform(lo, hi))
+        eta = float(rng.uniform(*ETA_SEARCH_RANGE))
         cfg = replace(base, eta=eta, seed=derive_seed(seed, t))
         trace = optimize(h, cfg)
         if not trace.converged or not np.isfinite(trace.final_energy):
             failures.append((eta, trace.abort_reason or "non-finite final energy"))
             continue
-        if best is None or trace.final_energy.real < best.trace.final_energy.real:
-            best = TrialResult(cfg, trace)
+        done.append(TrialResult(cfg, trace))
+    best = _lowest([r.trace.final_energy.real for r in done])
     if best is None:
         raise RuntimeError(f"all {trials} trials diverged: {failures}")
-    return best
+    return done[best]
 
 
 @dataclass(frozen=True)
@@ -348,7 +376,8 @@ def multi_seed_run(h: RotatedTfim, cfg: SrConfig, n_realizations: int):
     """Independent restarts with seeds fanned out from cfg.seed.
 
     Returns (realizations, best) where best has the lowest finite final
-    energy; RuntimeError if no realization ends finite.
+    energy, the first one among ties within ENERGY_TIE_RTOL; RuntimeError if
+    no realization ends finite.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
@@ -358,7 +387,7 @@ def multi_seed_run(h: RotatedTfim, cfg: SrConfig, n_realizations: int):
         trace = optimize(h, run_cfg)
         state = rbm.full_state_vector(trace.final_params)
         out.append(Realization(run_cfg.seed, trace, state, trace.final_energy.real))
-    finite = [r for r in out if np.isfinite(r.energy)]
-    if not finite:
+    best = _lowest([r.energy for r in out])
+    if best is None:
         raise RuntimeError(f"all {n_realizations} realizations ended non-finite")
-    return out, min(finite, key=lambda r: r.energy)
+    return out, out[best]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nqs_tfim
-from nqs_tfim import _blas, sr
+from nqs_tfim import _blas, rbm, sr
 from nqs_tfim.hamiltonian import RotatedTfim
 
 BLAS_THREAD_VARS = (
@@ -53,6 +53,27 @@ def test_sr_energies_do_not_depend_on_thread_count():
         pytest.skip("no OpenBLAS loaded in this environment")
     h = RotatedTfim(8, 1.5, 0.3)
     cfg = sr.SrConfig(eta=0.05, n_iter=100, seed=3)
+    before = {name: get() for name, (_, get) in libs.items()}
+    energies = {}
+    try:
+        for n in (2, 1):
+            for setter, _ in libs.values():
+                setter(n)
+            energies[n] = sr.optimize(h, cfg).energies
+    finally:
+        for name, (setter, _) in libs.items():
+            setter(before[name])
+    assert np.array_equal(energies[1], energies[2])
+
+
+def test_sr_energies_do_not_depend_on_thread_count_over_several_blocks():
+    # L = 12: 4096 configurations in several row blocks, and a 168 x 168 S
+    libs = _blas.openblas_libraries()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded in this environment")
+    h = RotatedTfim(12, 1.5, 0.3)
+    assert h.dim > 2 * rbm.ROW_BLOCK
+    cfg = sr.SrConfig(eta=0.05, n_iter=30, seed=3)
     before = {name: get() for name, (_, get) in libs.items()}
     energies = {}
     try:

@@ -60,6 +60,56 @@ def test_log_psi_overflow_safe():
     assert lp == pytest.approx(2 * (500.0 - np.log(2)))
 
 
+def fields_only(b):
+    """One site with no couplings, so theta = b for both configurations."""
+    b = np.asarray(b, dtype=complex)
+    return RbmParameters(np.zeros(1, complex), b, np.zeros((1, len(b)), complex))
+
+
+def assert_log_psi_and_tanh_match_elementwise(w, s):
+    """Fused kernel against np.tanh and the sum of elementwise log cosh, each
+    of which errs by a few ulp too: tanh within 8 eps of each value, log Psi
+    within 8 eps of the sum of the absolute terms and equal modulo 2 pi i."""
+    theta = s @ w.W + w.b
+    eps = np.finfo(float).eps
+    lp, t = rbm.log_psi_and_tanh(w, s)
+    t_ref = np.tanh(theta)
+    assert np.all(np.abs(t - t_ref) <= 8 * eps * np.abs(t_ref))
+    log_cosh = np.log(np.cosh(theta))
+    lp_ref = s @ w.a + np.sum(log_cosh, axis=1)
+    scale = np.abs(s @ w.a) + np.sum(np.abs(log_cosh), axis=1)
+    assert np.all(np.isfinite(lp))
+    assert np.all(np.abs(lp.real - lp_ref.real) <= 8 * eps * scale)
+    turns = (lp.imag - lp_ref.imag) / (2 * np.pi)
+    assert np.all(np.abs(turns - np.round(turns)) * 2 * np.pi <= 8 * eps * scale)
+
+
+@pytest.mark.parametrize("b", [
+    # |theta| from 1 down to 1e-12, in all four quadrants
+    [10.0**-k * np.exp(1j * (0.3 + k * np.pi / 2)) for k in range(13)],
+    # Re theta = +-500: exp(-2 theta) overflows for one sign, cosh theta does not
+    [500 + 0.2j, -500 + 0.2j, 500 - 3j, -500 + 40j],
+    # near the poles theta = i pi (k + 1/2), where cosh theta -> 0
+    [0.5j * np.pi + d for d in (1e-3, -1e-3, 1e-3j, 1e-8 + 1e-8j, 0.0, -1e-12)]
+    + [-0.5j * np.pi + 1e-6, 1.5j * np.pi - 1e-6j],
+    # forty factors of |cosh| ~ 1e-10: their product, 1e-400, underflows
+    [0.5j * np.pi + 1e-10 * (1 + 1j * k) for k in range(40)],
+])
+def test_log_psi_and_tanh_match_elementwise_at_extreme_fields(b):
+    s = np.array([[1.0], [-1.0]])
+    assert_log_psi_and_tanh_match_elementwise(fields_only(b), s)
+
+
+def test_log_psi_and_tanh_match_elementwise_over_several_blocks(rng):
+    L = 11   # 2048 rows, several blocks of the fused kernel
+    assert 2**L > rbm.ROW_BLOCK
+    # multiples of 1/256, so that theta is exact however it is summed
+    w = RbmParameters.from_vector(
+        np.round(random_params(rng, L, alpha=2.0, scale=1.0).to_vector() * 256) / 256,
+        L, 2 * L)
+    assert_log_psi_and_tanh_match_elementwise(w, hilbert.all_spins(L))
+
+
 def test_log_derivatives_zero_params():
     w = RbmParameters(np.zeros(2, complex), np.zeros(2, complex),
                       np.zeros((2, 2), complex))

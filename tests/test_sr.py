@@ -150,6 +150,35 @@ def test_expectations_match_dense_o_formula(L, alpha, scale):
     assert np.array_equal(s_mat, s_mat.conj().T)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # underflowed amplitudes
+@pytest.mark.parametrize("scale", [0.3, 3.0])
+def test_expectations_match_dense_o_formula_over_several_blocks(scale):
+    assert 2**10 > rbm.ROW_BLOCK   # the cases above fit in one block
+    test_expectations_match_dense_o_formula(10, 1.0, scale)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # E_loc overflows
+def test_zero_born_weights_are_left_out_of_energy_and_variance():
+    h = RotatedTfim(8, 1.1, 0.4)
+    w = random_params(np.random.default_rng(0), 8, 8, 3.0)
+    w = RbmParameters(w.a + 60, w.b, w.W)   # |psi| spans far below 1e-308
+    lp = rbm.log_psi_all(w)
+    psi = np.exp(lp - np.max(lp.real))
+    p = np.abs(psi) ** 2
+    p /= p.sum()
+    e_loc = (kron_hamiltonian(8, 1.1, 0.4) @ psi) / psi
+    assert not np.isfinite(e_loc[p == 0]).all()   # 0 * inf would be NaN
+    kept = p > 0
+    e_ref = np.sum(np.where(kept, p * e_loc, 0))
+    var_ref = np.sum(np.where(kept, p * np.abs(e_loc - e_ref) ** 2, 0))
+    energy, var = sr.energy_and_variance(h, w)
+    assert energy == pytest.approx(e_ref, rel=1e-12)
+    assert var == pytest.approx(var_ref, rel=1e-10)
+    energy, f, s_mat = sr.expectations(h, w)
+    assert energy == pytest.approx(e_ref, rel=1e-12)
+    assert np.isfinite(f).all() and np.isfinite(s_mat).all()
+
+
 def test_s_matrix_hermitian_psd(rng):
     h = RotatedTfim(3, 1.3, 0.6)
     w = random_params(rng, 3)
@@ -223,6 +252,12 @@ def test_solve_sr_system_residual():
     assert np.allclose((s_mat + eps * np.eye(8)) @ d, f, atol=1e-9)
 
 
+def test_solve_sr_system_raises_on_singular_matrix():
+    eps = 1e-4
+    with pytest.raises(RuntimeError, match="zhesv"):
+        sr.solve_sr_system(-eps * np.eye(4, dtype=complex), np.ones(4, complex), eps)
+
+
 def test_single_step_decreases_energy(rng):
     h = RotatedTfim(3, 1.5, 0.0)
     w = random_params(rng, 3, scale=0.1)
@@ -294,7 +329,12 @@ def test_optimize_aborts_on_infinite_variance(monkeypatch):
 
 
 def test_working_set_estimate_at_the_largest_size():
-    assert sr.working_set_bytes(24, rbm.n_hidden(24, 4.0)) > 1e12
+    L, M = 24, rbm.n_hidden(24, 4.0)
+    # arrays of 2^L rows: R over 1 + L(L+1)/2 spin pairs, s_hat, tanh theta;
+    # G has only one block of rows
+    g_block = rbm.ROW_BLOCK * 16 * (M + 1) * (M + 2) // 2
+    held = 2**L * 8 * (1 + L * (L + 1) // 2 + L + 1 + 2 * M) + g_block
+    assert held <= sr.working_set_bytes(L, M) < 1.3 * held
 
 
 def test_optimize_refuses_a_run_that_cannot_fit(monkeypatch):
@@ -389,6 +429,43 @@ def test_multi_seed_run_raises_when_none_finite(monkeypatch):
     ending_in_nan_for({sr.derive_seed(11, i) for i in range(2)}, monkeypatch)
     with pytest.raises(RuntimeError):
         sr.multi_seed_run(h, cfg, 2)
+
+
+def ending_one_ulp_lower_per_index(seeds, monkeypatch):
+    """Patch sr.optimize so the run with seeds[i] ends at -2 minus i ulps."""
+    real = sr.optimize
+
+    def patched(h, cfg, w0=None):
+        trace = real(h, cfg, w0)
+        energy = -2.0
+        for _ in range(seeds.index(cfg.seed)):
+            energy = np.nextafter(energy, -np.inf)
+        return dataclasses.replace(trace, energies=np.append(trace.energies, energy))
+
+    monkeypatch.setattr(sr, "optimize", patched)
+
+
+def test_multi_seed_run_breaks_ties_by_lowest_index(monkeypatch):
+    h = RotatedTfim(3, 1.5, 0.0)
+    cfg = SrConfig(eta=0.02, n_iter=5, seed=11)
+    ending_one_ulp_lower_per_index([sr.derive_seed(11, i) for i in range(3)], monkeypatch)
+    runs, best = sr.multi_seed_run(h, cfg, 3)
+    assert runs[2].energy < runs[1].energy < runs[0].energy
+    assert best is runs[0]
+
+
+def test_hyperparameter_search_breaks_ties_by_lowest_index(monkeypatch):
+    h = RotatedTfim(3, 1.5, 0.0)
+    base = SrConfig(n_iter=5)
+    ending_one_ulp_lower_per_index([sr.derive_seed(9, t) for t in range(3)], monkeypatch)
+    best = sr.hyperparameter_search(h, trials=3, seed=9, base=base)
+    assert best.config.seed == sr.derive_seed(9, 0)
+
+
+def test_a_lower_energy_beyond_the_tie_tolerance_wins():
+    e = -2.0 * (1 + 10 * sr.ENERGY_TIE_RTOL)
+    assert sr._lowest([-2.0, e, np.nan]) == 1
+    assert sr._lowest([np.nan, -np.inf]) is None
 
 
 def test_hyperparameter_search_never_picks_non_finite(monkeypatch):
