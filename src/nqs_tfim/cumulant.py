@@ -7,7 +7,10 @@ sign: S_A(s) = (-1)^|A| (-1)^{A.b} for the bit vector b of s, so
 c_A = (-1)^|A| fwht(log Psi)[A] / 2^L.
 
 Truncation keeps the N by-magnitude largest coefficients (not the lowest
-orders), re-exponentiates and renormalizes.
+orders), re-exponentiates and renormalizes. An infidelity curve computes
+the coefficients, their ranking and the signed vector (-1)^|A| c_A once and
+keeps one masked copy of it; each N then costs one scatter of the entries
+kept or dropped since the previous N, one FWHT and one complex exp.
 """
 
 from dataclasses import dataclass
@@ -21,20 +24,29 @@ COEFF_FLOOR = 1e-300   # below this an exact coefficient has no relative error
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform; fwht(fwht(v)) = len(v)*v."""
-    v = np.array(v, dtype=complex)
-    n = v.size
+    """Unnormalized fast Walsh-Hadamard transform; fwht(fwht(v)) = len(v)*v.
+
+    Stage k adds and subtracts the pairs of entries whose indices differ in
+    bit k, for k = 0, 1, 2, ... in order, as the textbook in-place loop
+    does, so each output is the same sum bit for bit. Each stage reads the
+    even and odd entries of one buffer and writes the sums to the first
+    half of another and the differences to its second half. That moves
+    bit k to the top of the index and bit k + 1 to the bottom, so every
+    stage pairs neighbours, and after the last one the index is back in
+    place.
+    """
+    src = np.array(v, dtype=complex)
+    shape, n = src.shape, src.size
     if n == 0 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
-    h = 1
-    while h < n:
-        pairs = v.reshape(-1, 2, h)
-        x, y = pairs[:, 0, :], pairs[:, 1, :]
-        a = x + y
-        np.subtract(x, y, out=y)
-        x[...] = a
-        h *= 2
-    return v
+    src = src.ravel()
+    dst = np.empty_like(src)
+    half = n // 2
+    for _ in range(n.bit_length() - 1):
+        np.add(src[0::2], src[1::2], out=dst[:half])
+        np.subtract(src[0::2], src[1::2], out=dst[half:])
+        src, dst = dst, src
+    return src.reshape(shape)
 
 
 def subset_orders(L: int) -> np.ndarray:
@@ -90,8 +102,7 @@ def reconstruct(coeffs: CumulantCoefficients, kept: np.ndarray | None = None) ->
 
 def magnitude_ranking(coeffs: CumulantCoefficients) -> np.ndarray:
     """Subset bitmasks ordered by descending |c_A|, ties by ascending mask."""
-    c = coeffs.c
-    return np.lexsort((np.arange(c.size), -np.abs(c)))
+    return np.argsort(-np.abs(coeffs.c), kind="stable")
 
 
 @dataclass(frozen=True)
@@ -118,13 +129,39 @@ def default_n_grid(L: int, n_points: int = 200) -> np.ndarray:
 
 
 def infidelity_curve(source: np.ndarray, reference: np.ndarray, ns) -> list:
-    """(N, infidelity(truncated source, reference)) for each N in ns."""
+    """(N, infidelity(truncated source, reference)) for each N in ns.
+
+    Each N in ns must lie in [1, 2^L]; ns may come in any order and repeat.
+    The overlap is taken on the unnormalized truncated amplitudes, since
+    the infidelity does not depend on norm or global phase.
+    """
     coeffs = cumulant_coefficients(exact.fix_phase(exact.normalize(source)))
+    c = coeffs.c
+    ns = [int(n) for n in ns]
+    for n in ns:
+        if not 1 <= n <= c.size:
+            raise ValueError(f"N={n} outside [1, {c.size}]")
+    reference = np.asarray(reference, dtype=complex)
+    ref_norm = np.linalg.norm(reference)
+    if ref_norm == 0:
+        raise ValueError("infidelity undefined for a zero vector")
     ranking = magnitude_ranking(coeffs)
+    signed = (1.0 - 2.0 * (subset_orders(coeffs.L) & 1)) * c
+    masked = np.zeros_like(c)
+    kept = 0
     out = []
     for n in ns:
-        state = reconstruct(coeffs, ranking[: int(n)])
-        out.append((int(n), exact.infidelity(state, reference)))
+        if n > kept:
+            added = ranking[kept:n]
+            masked[added] = signed[added]
+        else:
+            masked[ranking[n:kept]] = 0
+        kept = n
+        amps = fwht(masked)
+        amps -= np.max(amps.real)
+        np.exp(amps, out=amps)
+        overlap = np.abs(np.vdot(reference, amps)) / (np.linalg.norm(amps) * ref_norm)
+        out.append((n, float(max(0.0, 1.0 - overlap**2))))
     return out
 
 

@@ -10,9 +10,10 @@ i within a point then gets SeedSequence([point_seed, i]) (see sr.derive_seed).
 
 import csv
 import hashlib
+import itertools
 import json
+import logging
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -22,6 +23,8 @@ import yaml
 from . import _blas, cumulant, exact, rbm, sr
 from .hamiltonian import RotatedTfim
 from .sr import SrConfig
+
+log = logging.getLogger(__name__)
 
 KINDS = (
     "phase-diagram", "degeneracy", "pi-compare",
@@ -51,6 +54,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.eta is None and self.search_trials < 1:
             raise ValueError("need either a fixed eta or search_trials >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("n_iter", "n_realizations", "search_n_iter"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         self.theta = _expand_theta(self.theta)
 
 
@@ -68,16 +77,46 @@ def _expand_theta(values) -> list:
     return out
 
 
+SECTION_KEYS = {
+    "grid": {"L", "lambda", "theta"},
+    "rbm": {"alpha", "init_scale"},
+    "sr": {"eta", "search_trials", "search_n_iter", "epsilon", "n_iter",
+           "n_realizations"},
+    "output": {"dir"},
+}
+TOP_KEYS = {"kind", "seed", *SECTION_KEYS}
+
+
+def _check_keys(path, section, known: set, prefix: str = ""):
+    """Raise ValueError naming every key of `section` not in `known`."""
+    if not isinstance(section, dict):
+        where = prefix.rstrip(".") or "the document"
+        raise ValueError(f"{path}: {where} must be a mapping, not {type(section).__name__}")
+    unknown = sorted(prefix + str(key) for key in set(section) - known)
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s) {', '.join(unknown)}")
+
+
 def load_config(path, kind: str | None = None, **overrides) -> ExperimentConfig:
-    """Read a YAML experiment file (nested sections grid/rbm/sr/output)."""
+    """Read a YAML experiment file (nested sections grid/rbm/sr/output).
+
+    Unknown keys are an error, and so is grid.theta for pi-compare, which
+    always compares theta = 0 with theta = pi. Overrides that are not None
+    replace config fields and are validated like them.
+    """
     with open(path) as fh:
         doc = yaml.safe_load(fh) or {}
-    grid = doc.get("grid", {})
-    rbm_sec = doc.get("rbm", {})
-    sr_sec = doc.get("sr", {})
-    out_sec = doc.get("output", {})
+    _check_keys(path, doc, TOP_KEYS)
+    sections = {name: doc.get(name) or {} for name in SECTION_KEYS}
+    for name, section in sections.items():
+        _check_keys(path, section, SECTION_KEYS[name], f"{name}.")
+    grid, rbm_sec, sr_sec = sections["grid"], sections["rbm"], sections["sr"]
+    kind = kind or doc.get("kind")
+    if kind == "pi-compare" and "theta" in grid:
+        raise ValueError(f"{path}: pi-compare always runs theta in {{0, pi}}; "
+                         "remove grid.theta")
     cfg = ExperimentConfig(
-        kind=kind or doc.get("kind"),
+        kind=kind,
         L=[int(x) for x in grid.get("L", [8])],
         lam=[float(x) for x in grid.get("lambda", [1.5])],
         theta=grid.get("theta", [0.0]),
@@ -91,12 +130,9 @@ def load_config(path, kind: str | None = None, **overrides) -> ExperimentConfig:
         n_iter=int(sr_sec.get("n_iter", 300)),
         n_realizations=int(sr_sec.get("n_realizations", 3)),
         seed=int(doc.get("seed", 1)),
-        out_dir=str(out_sec.get("dir", "results")),
+        out_dir=str(sections["output"].get("dir", "results")),
     )
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(cfg, key, val)
-    return cfg
+    return replace(cfg, **{key: val for key, val in overrides.items() if val is not None})
 
 
 def default_config_path(kind: str, profile: str) -> Path:
@@ -202,7 +238,8 @@ def run_phase_diagram(cfg: ExperimentConfig) -> int:
                 try:
                     summary = exact.ground_states(RotatedTfim(L, lam, theta), k=2)
                 except Exception as err:  # record and continue the sweep
-                    warnings.warn(f"grid point ({L},{lam},{theta}) failed: {err}")
+                    log.warning("grid point (%s, %s, %s) failed: %s", L, lam, theta, err,
+                                exc_info=True)
                     failures += 1
                     continue
                 rows.append([L, lam, theta, summary.energies[0],
@@ -224,16 +261,16 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> int:
     point_rows, real_rows, artifacts = [], [], []
     failures = 0
     for p, theta in enumerate(cfg.theta):
-        h = RotatedTfim(L, lam, theta)
-        summary = exact.ground_states(h, k=2)
-        psi, psi1 = summary.states[:, 0], summary.states[:, 1]
-        plus, minus = exact.degenerate_superpositions(psi, psi1)
         try:
+            h = RotatedTfim(L, lam, theta)
+            summary = exact.ground_states(h, k=2)
             runs, best, eta = _train_point(h, cfg, sr.derive_seed(cfg.seed, p), alpha)
         except Exception as err:
-            warnings.warn(f"theta={theta} failed: {err}")
+            log.warning("theta=%s failed: %s", theta, err, exc_info=True)
             failures += 1
             continue
+        psi, psi1 = summary.states[:, 0], summary.states[:, 1]
+        plus, minus = exact.degenerate_superpositions(psi, psi1)
         for r in runs:
             real_rows.append([
                 L, lam, theta, alpha, r.seed, int(r is best),
@@ -278,16 +315,16 @@ def run_pi_rotation_compare(cfg: ExperimentConfig) -> int:
     best_params = {}
     e0 = None
     for p, theta in enumerate([0.0, np.pi]):
-        h = RotatedTfim(L, lam, theta)
-        summary = exact.ground_states(h, k=1)
-        e0 = summary.energies[0]
-        psi = summary.states[:, 0]
         try:
+            h = RotatedTfim(L, lam, theta)
+            summary = exact.ground_states(h, k=1)
             runs, best, eta = _train_point(h, cfg, sr.derive_seed(cfg.seed, p), alpha)
         except Exception as err:
-            warnings.warn(f"theta={theta} failed: {err}")
+            log.warning("theta=%s failed: %s", theta, err, exc_info=True)
             failures += 1
             continue
+        e0 = summary.energies[0]
+        psi = summary.states[:, 0]
         best_params[theta] = best.trace.final_params
         for r in runs:
             real_rows.append([
@@ -326,30 +363,27 @@ def run_uniformity_sweep(cfg: ExperimentConfig) -> int:
     L, alpha = cfg.L[0], cfg.alpha[0]
     rows, best_rows = [], []
     failures = 0
-    p = 0
-    for lam in cfg.lam:
-        for theta in cfg.theta:
+    for p, (lam, theta) in enumerate(itertools.product(cfg.lam, cfg.theta)):
+        try:
             h = RotatedTfim(L, lam, theta)
             summary = exact.ground_states(h, k=2)
-            psi = summary.states[:, 0]
-            sign_exact = _safe_sign_average(psi)
-            try:
-                runs, best, eta = _train_point(h, cfg, sr.derive_seed(cfg.seed, p), alpha)
-            except Exception as err:
-                warnings.warn(f"point (lam={lam}, theta={theta}) failed: {err}")
-                failures += 1
-                p += 1
-                continue
-            for r in runs:
-                rows.append([L, lam, theta, alpha, r.seed, int(r is best),
-                             r.energy,
-                             exact.relative_energy_error(r.energy, summary.energies[0]),
-                             exact.infidelity(r.state, psi), sign_exact])
-            best_rows.append([L, lam, theta, alpha, best.energy,
-                              exact.relative_energy_error(best.energy, summary.energies[0]),
-                              exact.infidelity(best.state, psi),
-                              sign_exact, summary.gap, eta])
-            p += 1
+            runs, best, eta = _train_point(h, cfg, sr.derive_seed(cfg.seed, p), alpha)
+        except Exception as err:
+            log.warning("point (lam=%s, theta=%s) failed: %s", lam, theta, err,
+                        exc_info=True)
+            failures += 1
+            continue
+        psi = summary.states[:, 0]
+        sign_exact = _safe_sign_average(psi)
+        for r in runs:
+            rows.append([L, lam, theta, alpha, r.seed, int(r is best),
+                         r.energy,
+                         exact.relative_energy_error(r.energy, summary.energies[0]),
+                         exact.infidelity(r.state, psi), sign_exact])
+        best_rows.append([L, lam, theta, alpha, best.energy,
+                          exact.relative_energy_error(best.energy, summary.energies[0]),
+                          exact.infidelity(best.state, psi),
+                          sign_exact, summary.gap, eta])
     a1 = write_csv(out / "uniformity_realizations.csv",
                    ["L", "lambda", "theta", "alpha", "seed", "is_best", "E_var",
                     "rel_energy_error", "infidelity", "sign_exact"], rows)
@@ -423,7 +457,8 @@ def run_cumulant_analysis(cfg: ExperimentConfig) -> int:
                 _cumulant_point(out, index, "cumulant", cfg, L, lam, theta,
                                 alpha, sr.derive_seed(cfg.seed, p))
             except Exception as err:
-                warnings.warn(f"point (theta={theta}, alpha={alpha}) failed: {err}")
+                log.warning("point (theta=%s, alpha=%s) failed: %s", theta, alpha, err,
+                            exc_info=True)
                 failures += 1
             p += 1
     index.flush()
@@ -442,7 +477,8 @@ def run_size_scaling(cfg: ExperimentConfig) -> int:
                 _cumulant_point(out, index, "size-scaling", cfg, L, lam, theta,
                                 alpha, sr.derive_seed(cfg.seed, p))
             except Exception as err:
-                warnings.warn(f"point (L={L}, theta={theta}) failed: {err}")
+                log.warning("point (L=%s, theta=%s) failed: %s", L, theta, err,
+                            exc_info=True)
                 failures += 1
             p += 1
     index.flush()

@@ -56,6 +56,37 @@ def test_fwht_matches_hadamard_matrix(rng):
         assert np.allclose(cumulant.fwht(v), scipy.linalg.hadamard(1 << L) @ v)
 
 
+def loop_fwht(v):
+    """The stage-by-stage in-place loop: stage h = 1, 2, 4, ... combines
+    the entries h apart within blocks of 2h (oracle for bit identity)."""
+    v = np.array(v, dtype=complex)
+    h = 1
+    while h < v.size:
+        pairs = v.reshape(-1, 2, h)
+        x, y = pairs[:, 0, :], pairs[:, 1, :]
+        a = x + y
+        np.subtract(x, y, out=y)
+        x[...] = a
+        h *= 2
+    return v
+
+
+@pytest.mark.parametrize("L", range(1, 15))
+def test_fwht_is_bit_identical_to_stage_loop(rng, L):
+    v = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
+    assert np.array_equal(cumulant.fwht(v), loop_fwht(v))
+    assert np.array_equal(cumulant.fwht(v.real), loop_fwht(v.real))
+
+
+def test_fwht_leaves_its_input_alone(rng):
+    v = rng.normal(size=16) + 1j * rng.normal(size=16)
+    before = v.copy()
+    out = cumulant.fwht(v)
+    assert np.array_equal(v, before)
+    assert not np.shares_memory(out, v)
+    assert np.array_equal(cumulant.fwht([2.5]), [2.5])
+
+
 def test_fwht_rejects_bad_length():
     with pytest.raises(ValueError):
         cumulant.fwht([1.0, 2.0, 3.0])
@@ -187,6 +218,73 @@ def test_magnitude_ranking_orders_and_ties():
     ranking = cumulant.magnitude_ranking(CumulantCoefficients(c, 2))
     # |c_1| = |c_2| = 2 tie broken by ascending bitmask
     assert list(ranking) == [1, 2, 0, 3]
+
+
+def test_magnitude_ranking_matches_lexsort_with_ties_and_zeros(rng):
+    # magnitudes drawn from a few values, so most entries tie; about two in
+    # seven are exact zeros, half of them with a negative-zero real part
+    L = 8
+    values = np.array([0.0, -0.0, 0.25, -0.25, 0.25j, 1.0, -1.0])
+    for _ in range(5):
+        c = rng.choice(values, size=1 << L) + 0j
+        expected = np.lexsort((np.arange(c.size), -np.abs(c)))
+        got = cumulant.magnitude_ranking(CumulantCoefficients(c, L))
+        assert np.array_equal(got, expected)
+
+
+def reference_curve(source, reference, ns):
+    """The infidelity curve rebuilt from `reconstruct` and `exact.infidelity`
+    one N at a time (oracle)."""
+    coeffs = cumulant.cumulant_coefficients(exact.fix_phase(exact.normalize(source)))
+    ranking = cumulant.magnitude_ranking(coeffs)
+    return [(int(n), exact.infidelity(cumulant.reconstruct(coeffs, ranking[: int(n)]),
+                                      reference)) for n in ns]
+
+
+def curve_sources(L, rng):
+    """A real ED ground state and a complex perturbation of it."""
+    psi = exact.ground_states(RotatedTfim(L, 1.5, 0.3), k=1).states[:, 0]
+    noise = rng.normal(size=psi.size) + 1j * rng.normal(size=psi.size)
+    perturbed = psi * np.exp(0.3 * noise)
+    return psi, perturbed
+
+
+@pytest.mark.parametrize("L", [4, 9, 12])
+def test_infidelity_curve_matches_per_n_reconstruction(rng, L):
+    psi, perturbed = curve_sources(L, rng)
+    grid = cumulant.default_n_grid(L)   # every N up to L = 10
+    if L == 9:
+        grid = grid[::3]
+    shuffled = rng.permutation(np.concatenate([grid, grid[:: max(1, len(grid) // 20)]]))
+    for source in (psi, perturbed):
+        for ns in (grid, shuffled):
+            got = cumulant.infidelity_curve(source, psi, ns)
+            want = reference_curve(source, psi, ns)
+            assert [n for n, _ in got] == [n for n, _ in want] == [int(n) for n in ns]
+            assert np.allclose([v for _, v in got], [v for _, v in want],
+                               rtol=0, atol=1e-13)
+
+
+def test_infidelity_curve_does_not_depend_on_order_or_repeats(rng):
+    psi, perturbed = curve_sources(6, rng)
+    ns = np.arange(1, 65)
+    ascending = dict(cumulant.infidelity_curve(perturbed, psi, ns))
+    mixed = [64, 1, 1, 30, 2, 64, 17, 16, 40, 3]
+    for n, value in cumulant.infidelity_curve(perturbed, psi, mixed):
+        assert value == ascending[n]
+
+
+@pytest.mark.parametrize("bad", [0, -1, 17])
+def test_infidelity_curve_rejects_n_outside_range(bad):
+    psi = exact.normalize(np.exp(0.1 * np.arange(16)).astype(complex))
+    with pytest.raises(ValueError, match=f"N={bad}"):
+        cumulant.infidelity_curve(psi, psi, [1, bad])
+
+
+def test_infidelity_curve_rejects_zero_reference():
+    psi = exact.normalize(np.exp(0.1 * np.arange(8)).astype(complex))
+    with pytest.raises(ValueError):
+        cumulant.infidelity_curve(psi, np.zeros(8), [1])
 
 
 def test_infidelity_plateaus_at_truncation_level():

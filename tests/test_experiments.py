@@ -1,11 +1,12 @@
 import csv
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nqs_tfim import _blas, cli, experiments
+from nqs_tfim import _blas, cli, exact, experiments
 from nqs_tfim.experiments import ExperimentConfig, KINDS, RUNNERS
 
 
@@ -102,6 +103,59 @@ def test_shipped_default_configs_exist_and_load():
             assert path.exists(), path
             cfg = experiments.load_config(path, kind=kind)
             assert cfg.kind == kind
+
+
+def write_yaml(tmp_path, text):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("text, named", [
+    ("kind: uniformity\nseeds: 3\n", "seeds"),
+    ("kind: uniformity\nsr:\n  n_iters: 5\n", "sr.n_iters"),
+    ("kind: uniformity\ngrid:\n  L: [4]\n  lamda: [1.0]\n", "grid.lamda"),
+    ("kind: uniformity\nrbm:\n  alpha: 1.0\n  hidden: 4\n", "rbm.hidden"),
+    ("kind: uniformity\noutput:\n  directory: x\n", "output.directory"),
+], ids=["top", "sr", "grid", "rbm", "output"])
+def test_load_config_names_unknown_keys(tmp_path, text, named):
+    with pytest.raises(ValueError, match=f"unknown config key.*{named}"):
+        experiments.load_config(write_yaml(tmp_path, text))
+
+
+def test_load_config_rejects_a_section_that_is_not_a_mapping(tmp_path):
+    with pytest.raises(ValueError, match="sr must be a mapping"):
+        experiments.load_config(write_yaml(tmp_path, "kind: uniformity\nsr: 5\n"))
+
+
+@pytest.mark.parametrize("text", [
+    "kind: uniformity\nseed: -1\n",
+    "kind: uniformity\nsr:\n  n_iter: 0\n",
+    "kind: uniformity\nsr:\n  n_realizations: 0\n",
+    "kind: uniformity\nsr:\n  search_n_iter: 0\n",
+], ids=["seed", "n_iter", "n_realizations", "search_n_iter"])
+def test_load_config_rejects_out_of_range_values(tmp_path, text):
+    with pytest.raises(ValueError):
+        experiments.load_config(write_yaml(tmp_path, text))
+
+
+def test_overrides_are_validated(tmp_path):
+    path = write_yaml(tmp_path, "kind: uniformity\nseed: 1\n")
+    with pytest.raises(ValueError, match="seed"):
+        experiments.load_config(path, seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        cli.main(["uniformity", "--config", str(path), "--seed", "-1",
+                  "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_pi_compare_config_may_not_set_theta(tmp_path):
+    path = write_yaml(tmp_path, "kind: pi-compare\ngrid:\n  theta: [0.3]\n")
+    with pytest.raises(ValueError, match="theta"):
+        experiments.load_config(path)
+    with pytest.raises(ValueError, match="theta"):
+        experiments.load_config(write_yaml(tmp_path, "grid:\n  theta: [0.3]\n"),
+                                kind="pi-compare")
 
 
 # -------------------------------------------------------------------- runners
@@ -221,6 +275,52 @@ def test_runner_rerun_is_deterministic(tmp_path):
     experiments.run_uniformity_sweep(cfg2)
     assert (tmp_path / "a" / "uniformity_best.csv").read_text() == \
            (tmp_path / "b" / "uniformity_best.csv").read_text()
+
+
+def failing_ground_states(monkeypatch, bad_theta):
+    """Make exact.ground_states raise for one angle only."""
+    real = exact.ground_states
+
+    def fake(h, *args, **kwargs):
+        if h.theta == bad_theta:
+            raise RuntimeError("injected ED failure")
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(exact, "ground_states", fake)
+
+
+@pytest.mark.parametrize("kind, csv_name", [
+    ("degeneracy", "degeneracy_realizations.csv"),
+    ("pi-compare", "pi_compare_realizations.csv"),
+    ("uniformity", "uniformity_realizations.csv"),
+])
+@pytest.mark.parametrize("bad", [0, 1])
+def test_runner_survives_an_ed_failure(tmp_path, monkeypatch, caplog, kind, csv_name, bad):
+    thetas = [0.0, np.pi] if kind == "pi-compare" else [0.0, 0.1]
+    failing_ground_states(monkeypatch, thetas[bad])
+    cfg = tiny_config(kind, tmp_path, theta=[0.0] if kind == "pi-compare" else thetas)
+    with caplog.at_level(logging.WARNING, logger="nqs_tfim.experiments"):
+        assert RUNNERS[kind](cfg) == 1
+    assert "injected ED failure" in caplog.text
+    rows = read_csv(tmp_path / csv_name)
+    theta_col = rows[0].index("theta")
+    assert {float(r[theta_col]) for r in rows[1:]} == {thetas[1 - bad]}
+    assert len(rows) == 1 + cfg.n_realizations
+    index = json.loads((tmp_path / "index.json").read_text())
+    assert index[-1]["metrics"]["n_failures"] == 1
+
+
+def test_every_failure_is_logged(tmp_path, monkeypatch, caplog):
+    # two identical failures give two records (a warning filter would
+    # print the repeated message once)
+    failing_ground_states(monkeypatch, 0.0)
+    cfg = tiny_config("phase-diagram", tmp_path, L=[2], theta=[0.0, 0.0])
+    with caplog.at_level(logging.WARNING, logger="nqs_tfim.experiments"):
+        assert experiments.run_phase_diagram(cfg) == 2
+    records = [r for r in caplog.records if "injected ED failure" in r.getMessage()]
+    assert len(records) == 2
+    assert records[0].getMessage() == records[1].getMessage()
+    assert all(r.levelno == logging.WARNING for r in records)
 
 
 def test_runners_cover_all_kinds():
