@@ -58,7 +58,6 @@ class SrConfig:
     seed: int = 0
     alpha: float = 1.0
     init_scale: float = rbm.DEFAULT_INIT_SCALE
-    plain_gradient: bool = False   # debugging: S replaced by identity
 
     def __post_init__(self):
         if self.eta <= 0 or self.epsilon <= 0 or self.n_iter < 1:
@@ -255,10 +254,7 @@ def solve_sr_system(s_mat: np.ndarray, f: np.ndarray, epsilon: float) -> np.ndar
 
 def sr_step(w: RbmParameters, f: np.ndarray, s_mat: np.ndarray, cfg: SrConfig) -> RbmParameters:
     """One downhill update omega -> omega - eta * (S + eps)^-1 f."""
-    if cfg.plain_gradient:
-        delta = f / cfg.epsilon
-    else:
-        delta = solve_sr_system(s_mat, f, cfg.epsilon)
+    delta = solve_sr_system(s_mat, f, cfg.epsilon)
     vec = w.to_vector() - cfg.eta * delta
     return RbmParameters.from_vector(vec, w.L, w.M)
 

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import logging
 from pathlib import Path
@@ -6,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nqs_tfim import _blas, cli, exact, experiments
+from nqs_tfim import _blas, cli, exact, experiments, sr
 from nqs_tfim.experiments import ExperimentConfig, KINDS, RUNNERS
+from nqs_tfim.hamiltonian import RotatedTfim
 
 
 def read_csv(path):
@@ -139,6 +141,30 @@ def test_load_config_rejects_out_of_range_values(tmp_path, text):
         experiments.load_config(write_yaml(tmp_path, text))
 
 
+@pytest.mark.parametrize("theta, expected", [(0.3, 0.3), ("0.5pi", 0.5 * np.pi)],
+                         ids=["radians", "pi-string"])
+def test_load_config_reads_a_scalar_list_key_as_one_entry(tmp_path, theta, expected):
+    cfg = experiments.load_config(write_yaml(
+        tmp_path, f"kind: uniformity\ngrid:\n  L: 4\n  lambda: 1\n  theta: {theta}\n"))
+    assert cfg.L == [4]
+    assert cfg.lam == [1.0]
+    assert cfg.theta == pytest.approx([expected])
+
+
+@pytest.mark.parametrize("text, named", [
+    ("sr:\n  eta: 0\n", "eta must"),
+    ("sr:\n  epsilon: 0\n", "epsilon must"),
+    ("grid:\n  L: [0]\n", "L must"),
+    ("grid:\n  L: [30]\n", "L must"),
+    ("rbm:\n  alpha: [0]\n", "alpha="),
+    ("rbm:\n  alpha: []\n", "alpha needs"),
+    ("sr:\n  search_trials: -2\n", "search_trials must"),
+], ids=["eta", "epsilon", "L-0", "L-30", "alpha", "alpha-empty", "search_trials"])
+def test_load_config_refuses_values_that_fail_every_point(tmp_path, text, named):
+    with pytest.raises(ValueError, match=named):
+        experiments.load_config(write_yaml(tmp_path, "kind: uniformity\n" + text))
+
+
 def test_overrides_are_validated(tmp_path):
     path = write_yaml(tmp_path, "kind: uniformity\nseed: 1\n")
     with pytest.raises(ValueError, match="seed"):
@@ -225,6 +251,19 @@ def test_cumulant_runner(tmp_path):
     assert "a" in doc and "W" in doc
 
 
+def test_cumulant_points_keep_grid_order_and_seeds(tmp_path):
+    cfg = tiny_config("cumulant", tmp_path, theta=[0.0, 0.3], alpha=[1.0, 2.0])
+    assert experiments.run_cumulant_analysis(cfg) == 0
+    records = json.loads((tmp_path / "index.json").read_text())
+    assert [(r["key"]["theta"], r["key"]["alpha"]) for r in records] == \
+           list(itertools.product(cfg.theta, cfg.alpha))
+    for p, rec in enumerate(records):
+        meta = json.loads(Path(rec["artifacts"][2]).read_text())["meta"]
+        point_seed = sr.derive_seed(cfg.seed, p)
+        assert meta["seed"] in [sr.derive_seed(point_seed, i)
+                                for i in range(cfg.n_realizations)]
+
+
 def test_size_scaling_runner(tmp_path):
     cfg = tiny_config("size-scaling", tmp_path, L=[2, 3], n_iter=40)
     assert experiments.run_size_scaling(cfg) == 0
@@ -308,6 +347,12 @@ def test_runner_survives_an_ed_failure(tmp_path, monkeypatch, caplog, kind, csv_
     assert len(rows) == 1 + cfg.n_realizations
     index = json.loads((tmp_path / "index.json").read_text())
     assert index[-1]["metrics"]["n_failures"] == 1
+    if kind == "pi-compare":
+        # E0 comes from the point that ran; the mapped energy needs theta = 0
+        metrics = index[-1]["metrics"]
+        kept = exact.ground_states(RotatedTfim(3, 1.5, thetas[1 - bad]), k=1)
+        assert metrics["exact_E0"] == kept.energies[0]
+        assert np.isnan(metrics["mapped_theta0_energy_on_Hpi"]) == (bad == 0)
 
 
 def test_every_failure_is_logged(tmp_path, monkeypatch, caplog):

@@ -234,14 +234,6 @@ def test_zero_force_step_is_noop(rng):
     assert np.allclose(w2.to_vector(), w.to_vector())
 
 
-def test_plain_gradient_step_is_scaled_force(rng):
-    w = random_params(rng, 2)
-    f = rng.normal(size=w.n_var) + 1j * rng.normal(size=w.n_var)
-    cfg = SrConfig(eta=0.1, epsilon=1e-4, n_iter=1, plain_gradient=True)
-    w2 = sr.sr_step(w, f, np.zeros((w.n_var, w.n_var), complex), cfg)
-    assert np.allclose(w2.to_vector(), w.to_vector() - 0.1 * f / 1e-4)
-
-
 def test_solve_sr_system_residual():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
