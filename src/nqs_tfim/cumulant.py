@@ -10,7 +10,9 @@ Truncation keeps the N by-magnitude largest coefficients (not the lowest
 orders), re-exponentiates and renormalizes. An infidelity curve computes
 the coefficients, their ranking and the signed vector (-1)^|A| c_A once and
 keeps one masked copy of it; each N then costs one scatter of the entries
-kept or dropped since the previous N, one FWHT and one complex exp.
+kept or dropped since the previous N, one FWHT, and one real exp and one
+tan per amplitude: with log a = x + iy and t = tan(y/2), a = e^x ((1 - t^2)
++ 2it) / (1 + t^2), the half-angle form `rbm.log_psi_and_tanh` uses.
 """
 
 from dataclasses import dataclass
@@ -133,7 +135,8 @@ def infidelity_curve(source: np.ndarray, reference: np.ndarray, ns) -> list:
 
     Each N in ns must lie in [1, 2^L]; ns may come in any order and repeat.
     The overlap is taken on the unnormalized truncated amplitudes, since
-    the infidelity does not depend on norm or global phase.
+    the infidelity does not depend on norm or global phase; their norm
+    comes from the real magnitudes e^x.
     """
     coeffs = cumulant_coefficients(exact.fix_phase(exact.normalize(source)))
     c = coeffs.c
@@ -148,6 +151,7 @@ def infidelity_curve(source: np.ndarray, reference: np.ndarray, ns) -> list:
     ranking = magnitude_ranking(coeffs)
     signed = (1.0 - 2.0 * (subset_orders(coeffs.L) & 1)) * c
     masked = np.zeros_like(c)
+    mag, t, q = (np.empty(c.size) for _ in range(3))   # reused for every N
     kept = 0
     out = []
     for n in ns:
@@ -157,10 +161,19 @@ def infidelity_curve(source: np.ndarray, reference: np.ndarray, ns) -> list:
         else:
             masked[ranking[n:kept]] = 0
         kept = n
-        amps = fwht(masked)
-        amps -= np.max(amps.real)
-        np.exp(amps, out=amps)
-        overlap = np.abs(np.vdot(reference, amps)) / (np.linalg.norm(amps) * ref_norm)
+        amps = fwht(masked)                              # log a = x + iy
+        np.subtract(amps.real, np.max(amps.real), out=mag)
+        np.exp(mag, out=mag)                             # |a| = e^x
+        np.multiply(amps.imag, 0.5, out=t)
+        np.tan(t, out=t)
+        np.multiply(t, t, out=q)
+        np.subtract(1.0, q, out=amps.real)
+        q += 1.0
+        np.divide(mag, q, out=q)                         # |a| / (1 + t^2)
+        amps.real *= q                                   # |a| cos y
+        q += q
+        np.multiply(q, t, out=amps.imag)                 # |a| sin y
+        overlap = np.abs(np.vdot(reference, amps)) / (np.linalg.norm(mag) * ref_norm)
         out.append((n, float(max(0.0, 1.0 - overlap**2))))
     return out
 

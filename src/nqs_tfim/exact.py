@@ -11,6 +11,7 @@ from .hamiltonian import RotatedTfim
 
 DENSE_SOLVE_MAX_SITES = 10
 SOLVER_MAX_SITES = 16
+LANCZOS_NCV = 16
 EIG_RESIDUAL_TOL = 1e-8
 NEAR_DEGENERACY_REL = 1e-6
 REAL_STATE_TOL = 1e-8
@@ -55,30 +56,47 @@ class SpectrumSummary:
 
 
 def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
-    """Lowest k eigenpairs of H.
+    """Lowest k eigenpairs of H(theta), from the two parity sectors of H(0).
 
-    Dense symmetric solve for L <= 10; Lanczos (scipy eigsh on the cached
-    CSR matrix of H, `h.elements`) for 10 < L <= 16. The Lanczos start
-    vector is seeded, so repeated calls return bit-identical states; it
-    is random rather than uniform because at theta = 0 a uniform vector
-    lies in one parity sector and Lanczos would never reach the lowest
-    state of the other.
+    H(theta) = V H(0) V^T (`hamiltonian.rotate`), and H(0) splits into an
+    even and an odd block of size 2^(L-1) (`RotatedTfim.parity_sectors`).
+    Each block is solved by a dense symmetric solve for L <= 10 and by
+    Lanczos (scipy eigsh, LANCZOS_NCV Lanczos vectors) for 10 < L <= 16;
+    the Lanczos start vector is seeded, so repeated calls return
+    bit-identical states. For k <= 2 each block gives its lowest eigenpair:
+    the two lowest levels of the open chain are the two sector minima, since
+    the first excitation flips one fermion and with it the parity. For k > 2
+    each block gives its k lowest. The levels are merged by energy (even
+    first on an exact tie), embedded as (u, +-u reversed), rotated by
+    V(theta), normalized and phase-fixed, and each is checked against
+    H(theta) by its residual. In the (near-)degenerate ferromagnet the two
+    states are therefore parity eigenstates, not a rounding-dependent mix.
+    k must lie in [1, 2^L], and below 2^(L-1) where Lanczos is used.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if h.L > SOLVER_MAX_SITES:
         raise ValueError(f"exact solver refused for L={h.L} > {SOLVER_MAX_SITES}")
-    if h.L <= DENSE_SOLVE_MAX_SITES:
-        m = hamiltonian.dense_matrix(h)
-        energies, vecs = scipy.linalg.eigh(m, subset_by_index=[0, k - 1])
-    else:
-        v0 = np.random.default_rng(0).standard_normal(h.dim)
-        energies, vecs = scipy.sparse.linalg.eigsh(
-            h.elements, k=k, which="SA", tol=1e-12, maxiter=5000,
-            ncv=min(h.dim - 1, 40), v0=v0,
-        )
-        order = np.argsort(energies)
-        energies, vecs = energies[order], vecs[:, order]
+    half = h.dim // 2
+    dense = h.L <= DENSE_SOLVE_MAX_SITES
+    k_max = h.dim if dense else half - 1
+    if not 1 <= k <= k_max:
+        raise ValueError(f"k={k} outside [1, {k_max}] at L={h.L}")
+    per_sector = min(1 if k <= 2 else k, half)
+
+    energies, vecs = [], []
+    for sign, block in zip((1.0, -1.0), h.parity_sectors):
+        if dense:
+            e, u = scipy.linalg.eigh(block.toarray(), subset_by_index=[0, per_sector - 1])
+        else:
+            v0 = np.random.default_rng(0).standard_normal(half)
+            e, u = scipy.sparse.linalg.eigsh(
+                block, k=per_sector, which="SA", tol=1e-12, maxiter=5000,
+                ncv=min(half, max(LANCZOS_NCV, 2 * per_sector + 1)), v0=v0,
+            )
+        energies.append(e)
+        vecs.append(np.concatenate([u, sign * u[::-1]]))
+    energies, vecs = np.concatenate(energies), np.concatenate(vecs, axis=1)
+    order = np.argsort(energies, kind="stable")[:k]
+    energies, vecs = energies[order], hamiltonian.rotate(h, vecs[:, order])
 
     states = np.empty((h.dim, k), dtype=complex)
     for j in range(k):

@@ -120,9 +120,19 @@ def _check_keys(path, section, known: set, prefix: str = ""):
         raise ValueError(f"{path}: unknown config key(s) {', '.join(unknown)}")
 
 
+def _convert(path, section, key, convert, value):
+    """convert(value), or a ValueError naming the key if that fails."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as err:
+        name = f"{section}.{key}" if section else key
+        raise ValueError(f"{path}: config key {name} cannot read {value!r}: {err}") from err
+
+
 def load_config(path, kind: str | None = None, **overrides) -> ExperimentConfig:
     """Read a YAML experiment file (nested sections grid/rbm/sr/output)
-    through YAML_FIELDS. Unknown keys are an error, and so is grid.theta for
+    through YAML_FIELDS. Unknown keys and values that do not convert are
+    errors that name the key (`grid.L`), and so is grid.theta for
     pi-compare, which always compares theta = 0 with theta = pi. Overrides
     that are not None replace config fields; ExperimentConfig range-checks
     every value and names the field."""
@@ -136,7 +146,7 @@ def load_config(path, kind: str | None = None, **overrides) -> ExperimentConfig:
     if kind == "pi-compare" and "theta" in sections["grid"]:
         raise ValueError(f"{path}: pi-compare always runs theta in {{0, pi}}; "
                          "remove grid.theta")
-    values = {name: convert(sections[section][key])
+    values = {name: _convert(path, section, key, convert, sections[section][key])
               for (section, key), (name, convert) in YAML_FIELDS.items()
               if key in sections[section]}
     values.update((key, val) for key, val in overrides.items() if val is not None)

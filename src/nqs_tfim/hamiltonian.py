@@ -12,6 +12,13 @@ matrix, built on first use and cached on the instance. Row s holds one
 entry per flip mask B, at column s ^ B: the sum over the terms with that
 mask of coeff * prod_{i in A} s_i. `row` works from the term list directly
 and serves as the independent oracle.
+
+Every H(theta) is a site-by-site real rotation of the unrotated chain,
+H(theta) = V H(0) V^T with V = prod_i R_i(theta/2) (`rotate`), and H(0)
+commutes with the parity prod_i X_i, which maps x to its complement ~x.
+`RotatedTfim.parity_sectors` gives the two blocks of H(0) in the basis
+(|x> +- |~x>)/sqrt(2), x < 2^(L-1), cut from the CSR matrix of H(0); exact
+diagonalization solves them and rotates the eigenvectors back.
 """
 
 from dataclasses import dataclass, field
@@ -60,6 +67,31 @@ class RotatedTfim:
         return scipy.sparse.csr_array(
             (data.ravel(), indices.ravel(), indptr), shape=(self.dim, self.dim)
         )
+
+    @cached_property
+    def parity_sectors(self) -> tuple:
+        """(even, odd) blocks of H(0) on the parity basis (|x> +- |~x>)/sqrt(2).
+
+        x runs over [0, 2^(L-1)) and ~x = x ^ (2^L - 1). With A the rows and
+        columns x < 2^(L-1) of the CSR matrix of RotatedTfim(L, lam, 0), and
+        B the same rows' upper-half columns in reversed order, so that
+        B[x, y] = H(0)[x, ~y], the blocks are A + B and A - B: parity
+        symmetry gives H(0)[~x, ~y] = H(0)[x, y]. Does not depend on theta.
+        """
+        h0 = self if self.theta == 0 else RotatedTfim(self.L, self.lam, 0.0)
+        m, half = h0.elements, self.dim // 2
+        rows = m.indptr[: half + 1]                       # the rows x < 2^(L-1)
+        cols, data = m.indices[: rows[-1]], m.data[: rows[-1]]
+        in_b = cols >= half                               # entry of B at column ~col
+        cols = np.where(in_b, self.dim - 1 - cols, cols)
+        blocks = []
+        for sign in (1.0, -1.0):                          # A + B, A - B
+            block = scipy.sparse.csr_array(
+                (np.where(in_b, sign * data, data), cols.copy(), rows.copy()),
+                shape=(half, half))
+            block.sum_duplicates()   # in place, hence the copies; A, B overlap for L <= 2
+            blocks.append(block)
+        return tuple(blocks)
 
 
 def _build_terms(L, lam, theta):
@@ -120,6 +152,25 @@ def matvec(h: RotatedTfim, v: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(v):
         return m @ v.real + 1j * (m @ v.imag)
     return m @ v
+
+
+def rotate(h: RotatedTfim, v: np.ndarray) -> np.ndarray:
+    """V(theta) v, where V = prod_i R_i(theta/2) and H(theta) = V H(0) V^T.
+
+    R = [[c, -s], [s, c]] with c = cos(theta/2), s = sin(theta/2) acts on
+    each pair of entries that differ only in bit i, the one with bit i clear
+    (s_i = -1) first: (a, b) -> (c a - s b, s a + c b). One pass per site;
+    v has 2^L rows and may carry trailing columns, each rotated alike.
+    """
+    v = np.array(v, dtype=np.result_type(v, float))
+    if v.shape[0] != h.dim:
+        raise ValueError(f"vector has {v.shape[0]} rows, H has {h.dim}")
+    c, s = np.cos(0.5 * h.theta), np.sin(0.5 * h.theta)
+    for i in range(h.L):
+        pairs = v.reshape(-1, 2, 1 << i, *v.shape[1:])   # axis 1 is bit i
+        a, b = pairs[:, 0], pairs[:, 1]   # views: both new halves are computed first
+        pairs[:, 0], pairs[:, 1] = c * a - s * b, s * a + c * b
+    return v
 
 
 def is_stoquastic(h: RotatedTfim, tol: float = 1e-12) -> bool:

@@ -161,3 +161,47 @@ def test_near_degeneracy_flag():
     # above it in the paramagnet
     assert exact.ground_states(RotatedTfim(10, 0.1, 0.0), k=2).near_degenerate
     assert not exact.ground_states(RotatedTfim(10, 2.0, 0.0), k=2).near_degenerate
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_sector_solve_matches_full_spectrum(L):
+    for lam in (-1.5, -0.3, 0.0, 0.1, 1.0, 1.5):
+        for theta in (0.0, 0.3, np.pi / 2):
+            h = RotatedTfim(L, lam, theta)
+            ref = np.linalg.eigvalsh(hamiltonian.dense_matrix(h))
+            for k in range(1, min(4, h.dim) + 1):
+                energies = exact.ground_states(h, k=k).energies
+                assert np.max(np.abs(energies - ref[:k])) < 1e-12, (lam, theta, k)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_ferromagnet_doublet_is_a_parity_pair_on_both_paths(monkeypatch, theta):
+    # the doublet is split by ~1e-11 here, so a full-space solve returns a
+    # rounding-dependent mix of its two states
+    h = RotatedTfim(11, 0.1, theta)
+    monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", exact.SOLVER_MAX_SITES)
+    dense = exact.ground_states(h, k=2)
+    monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", 0)
+    lanczos = exact.ground_states(h, k=2)
+    for j in range(2):
+        assert exact.infidelity(dense.states[:, j], lanczos.states[:, j]) < 1e-10
+    for summary in (dense, lanczos):
+        parities = [hamiltonian.parity_expectation(h, summary.states[:, j]) for j in range(2)]
+        assert np.allclose(np.abs(parities), 1.0, atol=1e-10, rtol=0)
+        assert parities[0] * parities[1] < 0
+
+
+@pytest.mark.parametrize("L, k", [(3, 0), (3, -1), (3, 9), (11, 1024)])
+def test_ground_states_checks_k_before_solving(L, k):
+    h = RotatedTfim(L, 1.0, 0.3)
+    with pytest.raises(ValueError, match=f"k={k}"):
+        exact.ground_states(h, k=k)
+    assert "parity_sectors" not in h.__dict__
+
+
+def test_ground_states_accepts_every_level():
+    h = RotatedTfim(3, 0.8, 0.4)
+    summary = exact.ground_states(h, k=8)
+    ref = np.linalg.eigvalsh(hamiltonian.dense_matrix(h))
+    assert np.max(np.abs(summary.energies - ref)) < 1e-12
+    assert np.allclose(summary.states.conj().T @ summary.states, np.eye(8), atol=1e-12)

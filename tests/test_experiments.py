@@ -165,6 +165,16 @@ def test_load_config_refuses_values_that_fail_every_point(tmp_path, text, named)
         experiments.load_config(write_yaml(tmp_path, "kind: uniformity\n" + text))
 
 
+@pytest.mark.parametrize("text, named", [
+    ("grid:\n  L: [abc]\n", "grid.L"),
+    ("sr:\n  search_n_iter: null\n", "sr.search_n_iter"),
+    ("seed: one\n", "seed"),
+], ids=["L", "search_n_iter", "seed"])
+def test_load_config_names_a_value_that_does_not_convert(tmp_path, text, named):
+    with pytest.raises(ValueError, match=f"config key {named} cannot read"):
+        experiments.load_config(write_yaml(tmp_path, "kind: uniformity\n" + text))
+
+
 def test_overrides_are_validated(tmp_path):
     path = write_yaml(tmp_path, "kind: uniformity\nseed: 1\n")
     with pytest.raises(ValueError, match="seed"):

@@ -264,3 +264,63 @@ def test_parity_commutes_and_labels_doublet():
     assert abs(abs(p0) - 1) < 1e-10
     assert abs(abs(p1) - 1) < 1e-10
     assert p0 * p1 < 0  # opposite parities in the symmetry-broken doublet
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_rotation_maps_unrotated_chain_to_rotated(L):
+    h0 = hamiltonian.dense_matrix(RotatedTfim(L, 0.7, 0.0))
+    for theta in (0.3, np.pi / 2, 2.5):
+        h = RotatedTfim(L, 0.7, theta)
+        v = hamiltonian.rotate(h, np.eye(h.dim))
+        assert np.allclose(v @ v.T, np.eye(h.dim), atol=1e-14)
+        assert np.max(np.abs(v @ h0 @ v.T - hamiltonian.dense_matrix(h))) < 1e-13
+
+
+def test_rotate_acts_on_each_column_alike(rng):
+    h = RotatedTfim(5, 1.1, 0.8)
+    v = rng.normal(size=(h.dim, 3)) + 1j * rng.normal(size=(h.dim, 3))
+    w = hamiltonian.rotate(h, v)
+    for j in range(3):
+        assert np.array_equal(w[:, j], hamiltonian.rotate(h, v[:, j]))
+    assert np.array_equal(hamiltonian.rotate(RotatedTfim(5, 1.1, 0.0), v), v)
+    with pytest.raises(ValueError):
+        hamiltonian.rotate(h, np.ones(h.dim // 2))
+
+
+def parity_projector(L, sign):
+    """Columns (|x> + sign |~x>)/sqrt(2) for x < 2^(L-1)."""
+    dim, half = 1 << L, 1 << (L - 1)
+    p = np.zeros((dim, half))
+    p[np.arange(half), np.arange(half)] = 2**-0.5
+    p[dim - 1 - np.arange(half), np.arange(half)] = sign * 2**-0.5
+    return p
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_parity_sectors_are_dense_projections(L, theta):
+    h = RotatedTfim(L, 0.9, theta)
+    h0 = hamiltonian.dense_matrix(RotatedTfim(L, 0.9, 0.0))
+    for sign, block in zip((1, -1), h.parity_sectors):
+        p = parity_projector(L, sign)
+        assert block.shape == (h.dim // 2, h.dim // 2)
+        assert np.max(np.abs(block.toarray() - p.T @ h0 @ p)) < 1e-14
+
+
+def test_parity_sectors_are_cached_per_instance():
+    h = RotatedTfim(4, 0.9, 0.3)
+    assert "parity_sectors" not in h.__dict__
+    assert h.parity_sectors is h.parity_sectors
+    assert RotatedTfim(4, 0.9, 0.3).parity_sectors is not h.parity_sectors
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 6])
+def test_parity_sectors_leave_the_matrix_of_h_alone(L):
+    # at theta = 0 the blocks are cut from h's own cached matrix
+    h = RotatedTfim(L, 0.9, 0.0)
+    m = h.elements
+    before = [a.copy() for a in (m.indptr, m.indices, m.data)]
+    h.parity_sectors
+    assert h.elements is m
+    for a, b in zip(before, (m.indptr, m.indices, m.data)):
+        assert np.array_equal(a, b)
