@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 from . import hamiltonian
 from .hamiltonian import RotatedTfim
 
-DENSE_SOLVE_MAX_SITES = 10
+DENSE_SOLVE_MAX_SITES = 9
 SOLVER_MAX_SITES = 16
 LANCZOS_NCV = 16
 EIG_RESIDUAL_TOL = 1e-8
@@ -60,8 +60,8 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
 
     H(theta) = V H(0) V^T (`hamiltonian.rotate`), and H(0) splits into an
     even and an odd block of size 2^(L-1) (`RotatedTfim.parity_sectors`).
-    Each block is solved by a dense symmetric solve for L <= 10 and by
-    Lanczos (scipy eigsh, LANCZOS_NCV Lanczos vectors) for 10 < L <= 16;
+    Each block is solved by a dense symmetric solve for L <= 9 and by
+    Lanczos (scipy eigsh, LANCZOS_NCV Lanczos vectors) for 9 < L <= 16;
     the Lanczos start vector is seeded, so repeated calls return
     bit-identical states. For k <= 2 each block gives its lowest eigenpair:
     the two lowest levels of the open chain are the two sector minima, since
@@ -71,7 +71,8 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     V(theta), normalized and phase-fixed, and each is checked against
     H(theta) by its residual. In the (near-)degenerate ferromagnet the two
     states are therefore parity eigenstates, not a rounding-dependent mix.
-    k must lie in [1, 2^L], and below 2^(L-1) where Lanczos is used.
+    k must lie in [1, 2^L], and below 2^(L-1) where Lanczos is used
+    (k <= 511 at L = 10).
     """
     if h.L > SOLVER_MAX_SITES:
         raise ValueError(f"exact solver refused for L={h.L} > {SOLVER_MAX_SITES}")

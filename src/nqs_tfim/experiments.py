@@ -54,23 +54,32 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         self.theta = _expand_theta(self.theta)
         if self.eta is None and self.search_trials < 1:
-            raise ValueError("need either a fixed eta or search_trials >= 1")
+            raise ValueError("need either a fixed eta or search_trials >= 1 "
+                             f"(config keys {FIELD_KEYS['eta']}, {FIELD_KEYS['search_trials']})")
         for name in ("eta", "epsilon"):
             value = getattr(self, name)
             if value is not None and not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+                raise _out_of_range(name, f"must be > 0, got {value}")
         for name, low in (("seed", 0), ("search_trials", 0), ("n_iter", 1),
                           ("n_realizations", 1), ("search_n_iter", 1)):
             value = getattr(self, name)
             if value is not None and value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+                raise _out_of_range(name, f"must be >= {low}, got {value}")
         for name in ("L", "lam", "theta", "alpha"):
             if not getattr(self, name):
-                raise ValueError(f"{name} needs at least one value")
+                raise _out_of_range(name, "needs at least one value")
         for L, alpha in itertools.product(self.L, self.alpha):
             if not 1 <= L <= exact.SOLVER_MAX_SITES:
-                raise ValueError(f"L must be in [1, {exact.SOLVER_MAX_SITES}], got {L}")
-            rbm.n_hidden(L, alpha)   # ValueError naming alpha if M < 1
+                raise _out_of_range("L", f"must be in [1, {exact.SOLVER_MAX_SITES}], got {L}")
+            try:
+                rbm.n_hidden(L, alpha)
+            except ValueError as err:   # M < 1
+                raise ValueError(f"{err} (config key {FIELD_KEYS['alpha']})") from err
+
+
+def _out_of_range(name: str, problem: str) -> ValueError:
+    """The error for a field value out of range, naming its YAML key."""
+    return ValueError(f"{name} {problem} (config key {FIELD_KEYS[name]})")
 
 
 def _listed(convert):
@@ -105,6 +114,8 @@ YAML_FIELDS = {
     ("sr", "n_realizations"): ("n_realizations", int),
     ("output", "dir"): ("out_dir", str),
 }
+FIELD_KEYS = {name: f"{section}.{key}" if section else key
+              for (section, key), (name, _) in YAML_FIELDS.items()}
 SECTION_KEYS = {section: {k for s, k in YAML_FIELDS if s == section}
                 for section, _ in YAML_FIELDS if section}
 TOP_KEYS = {"kind", *(k for s, k in YAML_FIELDS if s is None), *SECTION_KEYS}
@@ -135,7 +146,7 @@ def load_config(path, kind: str | None = None, **overrides) -> ExperimentConfig:
     errors that name the key (`grid.L`), and so is grid.theta for
     pi-compare, which always compares theta = 0 with theta = pi. Overrides
     that are not None replace config fields; ExperimentConfig range-checks
-    every value and names the field."""
+    every value and names the field and its YAML key."""
     with open(path) as fh:
         doc = yaml.safe_load(fh) or {}
     _check_keys(path, doc, TOP_KEYS)

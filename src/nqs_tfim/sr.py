@@ -12,29 +12,41 @@ t_hat = [1, tanh theta_1..tanh theta_M], theta = s W + b, every
 log-derivative is a product s_hat_i t_hat_a: a_i is the pair (i, 0), b_a is
 (0, a), W_ia is (i, a), and (0, 0) is the constant 1. So
 
-    <O*_(i,a) O_(j,b)> = sum_s p s_hat_i s_hat_j conj(t_hat_a) t_hat_b
+    <O*_(i,a) O_(j,b)> = sum_s s_hat_i s_hat_j p conj(t_hat_a) t_hat_b,
+    <E_loc O*_(i,a)> = sum_s s_hat_i p E_loc conj(t_hat_a).
 
-is one real matrix product R^T G. R (2^L, P) holds s_hat_i s_hat_j for the
-pair (0, 0) and i < j (s_hat_i^2 = 1, so (i, i) reads (0, 0)) and depends
-only on L; G, complex and read as real, holds p conj(t_hat_a) t_hat_b for
-a <= b; P = 1 + L(L+1)/2 and Q = (M+1)(M+2)/2, padded with zero columns to
-a multiple of 8. S and <O> are read out of the (P, Q) result through a
-fixed index map, conjugated where a > b. log Psi and tanh theta come from
-one fused kernel (rbm.log_psi_and_tanh); then G is filled and R^T G summed
-over blocks of rbm.ROW_BLOCK rows in a fixed order, so G takes
-16 Q ROW_BLOCK bytes, not 16 Q 2^L, and the sums do not depend on the BLAS
-thread count. The product costs 4 P Q 2^L flops, against 8 n_var^2 2^L for
-the complex O^H O: at L = M = 12, 124 MFlop against 925, with R 2.6 MB and
-G 0.8 MB, where O alone took 11 MB. The forces come from the small products
-s_hat^T (p E_loc conj(t_hat)) over the same blocks, and the update from
-LAPACK's zhesv. working_set_bytes estimates the memory of one iteration,
-and optimize refuses a run that would not fit.
+G (complex) holds the hidden factors of both, p conj(t_hat_a) t_hat_b for
+a <= b and p E_loc conj(t_hat_a), in (M+1)(M+4)/2 rows padded with zeros to
+a multiple of 8; its columns are the configurations of one block, so each
+row fills with contiguous writes. log Psi and tanh theta come from one
+fused kernel (rbm.log_psi_and_tanh); then G is filled and summed over
+blocks of rbm.ROW_BLOCK = 2^9 rows in a fixed order, so the sums do not
+depend on the BLAS thread count. Inside a block only the LOW_SITES = 9
+sites 0 .. 8 vary; the sites above are constant spins sigma_j(b) of the
+block b. So the spin pairs split in three:
+
+- both low, or the constant: R_low^T sum_b G_b, one real product after the
+  loop, where R_low holds the 46 pairs (0, 0) and i < j of [1, s_1..s_9]
+  (s_i^2 = 1, so (i, i) reads (0, 0));
+- i low and j high: sum_b sigma_j(b) C_b[i], with C_b = s_low^T G_b the
+  10 low factors summed over one block;
+- both high: sum_b sigma_i(b) sigma_j(b) C_b[0].
+
+Up to L = 9 there is one block and only the first part. S, <O> and f are
+read out of the stacked moments through fixed index maps, conjugated where
+a > b. At L = M = 12 the moments cost 44 MFlop per iteration (34 of them in
+the per-block C_b), against 124 for the full product R^T G over all
+1 + L(L+1)/2 pairs and 925 for the complex O^H O; G takes 0.85 MB for one
+block, and no array of 2^L rows depends on the number of spin pairs. The
+update comes from LAPACK's zhesv. working_set_bytes estimates the memory of
+one iteration, and optimize refuses a run that would not fit.
 """
 
 import functools
 import os
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg.lapack
@@ -48,6 +60,8 @@ DIVERGENCE_FACTOR = 1e3
 ETA_SEARCH_RANGE = (1e-5, 1e-1)
 # final energies this close (relative) to the lowest are ties
 ENERGY_TIE_RTOL = 1e-12
+# sites that vary inside one block of rbm.ROW_BLOCK rows
+LOW_SITES = rbm.ROW_BLOCK.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -142,44 +156,80 @@ def _in_parameter_order(grid: np.ndarray) -> np.ndarray:
     return np.concatenate([grid[:1, 0], grid[1:, 0], grid[0, 1:], grid[1:, 1:].ravel()])
 
 
-def _g_columns(M: int) -> int:
-    """Columns of G: the (M+1)(M+2)/2 hidden pairs, padded with zeros to a
-    multiple of 8 (16 real columns). Unpadded, OpenBLAS's dgemm gave
-    results that differed in the last bit between 1 and 2 threads for
-    a third of the (L, M) tried; padded, it gave the same bits for all
-    of them (L = 1..14, M from L/2 to 3L)."""
-    return -(-(M + 1) * (M + 2) // 16) * 8
+def _g_rows(M: int) -> int:
+    """Rows of G: the (M+1)(M+2)/2 hidden pairs and the M+1 force factors,
+    padded with zeros to a multiple of 8 (16 real columns of G^T). Unpadded,
+    the moments differed in the last bit between 1 and 2 OpenBLAS threads
+    for 10 of the 53 (L, M) tried (L = 1..14, M = L/2, L, 2L and 3L, up to
+    2L from L = 13); padded, they were the same for all of them."""
+    return -(-(M + 1) * (M + 4) // 16) * 8
+
+
+class _Layout(NamedTuple):
+    """Read-only arrays fixed by (L, M); see _product_layout."""
+    s_hat: np.ndarray         # (2^L, L+1) spin factors [1, s_1..s_L]
+    r_low: np.ndarray         # (block rows, P_low) low spin pairs of a block
+    s_low: np.ndarray         # (block rows, LOW_SITES + 1) as complex numbers
+    sigma: np.ndarray         # (blocks, high sites) spins of the high sites
+    sigma_pairs: np.ndarray   # (blocks, high pairs) their products, j < k
+    readout: np.ndarray       # (n_var+1, n_var+1) index of <O*_k O_l>
+    forces: np.ndarray        # (n_var,) index of <E_loc O*_k>
 
 
 @functools.lru_cache(maxsize=2)
-def _product_layout(L: int, M: int):
-    """Read-only arrays fixed by (L, M): s_hat (2^L, L+1), R (2^L, P), and
-    the (n_var+1, n_var+1) index into the flattened [moments; conj(moments)]
-    of the (P, _g_columns(M)) moments R^T G that reads out <O*_k O_l>, with
-    the constant (0, 0) first."""
+def _product_layout(L: int, M: int) -> _Layout:
+    """The arrays that build and read the moments of one (L, M).
+
+    The first LOW_SITES sites vary inside a block of rbm.ROW_BLOCK rows,
+    the high sites above them are constant over it. The moments of the
+    spin pairs are stacked in three parts: the pairs of low factors (the
+    constant and the low sites, in _pairs order), then (low factor i, high
+    site j) at j (LOW_SITES + 1) + i, then the pairs j < k of high sites.
+    readout indexes the flattened [moments; conj(moments)] of the
+    (rows, _g_rows(M)) moments, forces the columns of the force factors in
+    the first part; both list the constant (0, 0) first, then the
+    parameter order."""
+    n_low = min(L, LOW_SITES)
+    n_high = L - n_low
     s_hat = np.ones((1 << L, L + 1))
     s_hat[:, 1:] = hilbert.all_spins(L)
-    si, sj, s_pos = _pairs(L + 1, diagonal=False)
-    r = s_hat[:, si] * s_hat[:, sj]
+    block = s_hat[:min(1 << L, rbm.ROW_BLOCK)]
+    li, lj, low_pos = _pairs(n_low + 1, diagonal=False)
+    sigma = s_hat[::len(block), n_low + 1:]
+    hi, hj = np.triu_indices(n_high, 1)
+
+    s_pos = np.zeros((L + 1, L + 1), dtype=np.intp)   # (i, i) reads (0, 0)
+    s_pos[:n_low + 1, :n_low + 1] = low_pos
+    s_pos[:n_low + 1, n_low + 1:] = (len(li) + (n_low + 1) * np.arange(n_high)
+                                     + np.arange(n_low + 1)[:, None])
+    s_pos[n_low + 1 + hi, n_low + 1 + hj] = len(li) + (n_low + 1) * n_high + np.arange(len(hi))
+    s_pos = np.maximum(s_pos, s_pos.T)   # mirror the upper triangle
+    n_rows = len(li) + (n_low + 1) * n_high + len(hi)
+
     _, _, t_pos = _pairs(M + 1)
     site, hidden = (_in_parameter_order(g) for g in np.indices((L + 1, M + 1)))
-    n_q = _g_columns(M)
-    readout = (s_pos[site[:, None], site] * n_q + t_pos[hidden[:, None], hidden]
-               + len(si) * n_q * (hidden[:, None] > hidden))
-    for arr in (s_hat, r, readout):
+    n_g = _g_rows(M)
+    readout = (s_pos[site[:, None], site] * n_g + t_pos[hidden[:, None], hidden]
+               + n_rows * n_g * (hidden[:, None] > hidden))
+    forces = s_pos[0, site[1:]] * n_g + (M + 1) * (M + 2) // 2 + hidden[1:]
+    layout = _Layout(s_hat, block[:, li] * block[:, lj], block[:, :n_low + 1].astype(complex),
+                     sigma, sigma[:, hi] * sigma[:, hj], readout, forces)
+    for arr in layout:
         arr.setflags(write=False)
-    return s_hat, r, readout
+    return layout
 
 
 def working_set_bytes(L: int, M: int) -> int:
     """Estimated bytes that one SR iteration at (L, M) holds at once. Per
-    configuration: R, s_hat, tanh theta and log Psi, eight state vectors and
+    configuration: s_hat, tanh theta and log Psi, eight state vectors and
     the CSR matrix of H (at most 2L flip masks per row, 12 bytes each). Per
-    row of one block: G, t_hat and p conj(t_hat), and the fused kernel's
-    real temporaries (x and about 16 of hidden width)."""
-    n_p = 1 + L * (L + 1) // 2
-    per_row = 8 * n_p + 8 * (L + 1) + 16 * M + 16 + 8 * 16 + 2 * L * 12
-    per_block_row = 16 * _g_columns(M) + 2 * 16 * (M + 1) + 18 * 8 * (M + 1)
+    row of one block: G and its running sum, t_hat and p conj(t_hat), the
+    low spin pairs and factors, and the fused kernel's real temporaries (x
+    and about 16 of hidden width)."""
+    n_low = min(L, LOW_SITES)
+    per_row = 8 * (L + 1) + 16 * M + 16 + 8 * 16 + 2 * L * 12
+    per_block_row = (2 * 16 * _g_rows(M) + 2 * 16 * (M + 1) + 18 * 8 * (M + 1)
+                     + 8 * (1 + n_low * (n_low + 1) // 2) + 16 * (n_low + 1))
     return (per_row << L) + per_block_row * min(1 << L, rbm.ROW_BLOCK)
 
 
@@ -189,32 +239,42 @@ def _physical_memory_bytes() -> int:
 
 def _full_expectations(h: RotatedTfim, w: RbmParameters):
     M = w.M
-    s_hat, r, readout = _product_layout(w.L, M)
-    lp, t = rbm.log_psi_and_tanh(w, s_hat[:, 1:])
+    lay = _product_layout(w.L, M)
+    lp, t = rbm.log_psi_and_tanh(w, lay.s_hat[:, 1:])
     p, e_loc, energy, var = _born_energy(h, lp)
-    n_rows = min(len(p), rbm.ROW_BLOCK)
-    t_hat = np.ones((n_rows, M + 1), dtype=complex)
-    g = np.zeros((n_rows, _g_columns(M)), dtype=complex)
-    moments = np.zeros((r.shape[1], 2 * g.shape[1]))
-    y = np.zeros((w.L + 1, 2 * (M + 1)))
-    for lo in range(0, len(p), n_rows):   # fixed block order
+    n_rows = len(lay.r_low)
+    t_hat = np.ones((M + 1, n_rows), dtype=complex)
+    pt = np.empty_like(t_hat)
+    g = np.zeros((_g_rows(M), n_rows), dtype=complex)
+    g_sum = np.zeros_like(g)
+    low_high = np.zeros((lay.sigma.shape[1], lay.s_low.shape[1], len(g)), dtype=complex)
+    high_high = np.zeros((lay.sigma_pairs.shape[1], len(g)), dtype=complex)
+    for b, lo in enumerate(range(0, len(p), n_rows)):   # fixed block order
         rows = slice(lo, lo + n_rows)
-        t_hat[:, 1:] = t[rows]
-        pt = t_hat.conj()
-        pt *= p[rows, None]
+        t_hat[1:] = t[rows].T
+        np.conjugate(t_hat, out=pt)
+        pt *= p[rows]
         col = 0
         for a in range(M + 1):   # the pairs (a, b >= a), in _pairs order
-            np.multiply(pt[:, a:a + 1], t_hat[:, a:], out=g[:, col:col + M + 1 - a])
+            np.multiply(pt[a], t_hat[a:], out=g[col:col + M + 1 - a])
             col += M + 1 - a
-        moments += r[rows].T @ g.view(np.float64)
-        pt *= e_loc[rows, None]
-        y += s_hat[rows].T @ pt.view(np.float64)
-    moments = moments.view(complex)
-    x = np.take(np.concatenate([moments, moments.conj()]), readout)
+        np.multiply(pt, e_loc[rows], out=g[col:col + M + 1])
+        g_sum += g
+        if low_high.size:   # sites above the block: sum the low factors
+            c = lay.s_low.T @ g.T
+            low_high += lay.sigma[b, :, None, None] * c
+            high_high += lay.sigma_pairs[b, :, None] * c[0]
+    g_sum_t = g.reshape(n_rows, -1)   # reuses G's memory
+    g_sum_t[:] = g_sum.T
+    low = lay.r_low.T @ g_sum_t.view(np.float64)
+    moments = np.concatenate([low.view(complex), low_high.reshape(-1, len(g)), high_high])
+    x = np.take(np.concatenate([moments, moments.conj()]), lay.readout)
     o_mean = x[0, 1:]
-    s_mat = x[1:, 1:] - np.outer(o_mean.conj(), o_mean)
-    s_mat = (s_mat + s_mat.conj().T) / 2   # Hermitian bit for bit
-    f = _in_parameter_order(y.view(complex))[1:] - energy * o_mean.conj()
+    s_mat = x[1:, 1:]
+    s_mat -= np.outer(o_mean.conj(), o_mean)
+    s_mat += s_mat.conj().T
+    s_mat /= 2   # Hermitian bit for bit
+    f = np.take(moments, lay.forces) - energy * o_mean.conj()
     return energy, var, f, s_mat
 
 

@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,17 @@ def test_load_config_reads_a_scalar_list_key_as_one_entry(tmp_path, theta, expec
 ], ids=["eta", "epsilon", "L-0", "L-30", "alpha", "alpha-empty", "search_trials"])
 def test_load_config_refuses_values_that_fail_every_point(tmp_path, text, named):
     with pytest.raises(ValueError, match=named):
+        experiments.load_config(write_yaml(tmp_path, "kind: uniformity\n" + text))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("grid:\n  lambda: []\n", "lam needs at least one value (config key grid.lambda)"),
+    ("grid:\n  L: [99]\n",
+     f"L must be in [1, {exact.SOLVER_MAX_SITES}], got 99 (config key grid.L)"),
+    ("sr:\n  n_iter: 0\n", "n_iter must be >= 1, got 0 (config key sr.n_iter)"),
+], ids=["grid.lambda", "grid.L", "sr.n_iter"])
+def test_range_check_names_the_field_and_its_yaml_key(tmp_path, text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         experiments.load_config(write_yaml(tmp_path, "kind: uniformity\n" + text))
 
 

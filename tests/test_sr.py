@@ -157,6 +157,14 @@ def test_expectations_match_dense_o_formula_over_several_blocks(scale):
     test_expectations_match_dense_o_formula(10, 1.0, scale)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # underflowed amplitudes
+@pytest.mark.parametrize("scale", [0.3, 3.0])
+def test_expectations_match_dense_o_formula_with_several_high_sites(scale):
+    # L = 12: 8 blocks, and 3 sites above the 9 that vary inside a block
+    assert 2**12 == 8 * rbm.ROW_BLOCK
+    test_expectations_match_dense_o_formula(12, 1.0, scale)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # E_loc overflows
 def test_zero_born_weights_are_left_out_of_energy_and_variance():
     h = RotatedTfim(8, 1.1, 0.4)
@@ -322,10 +330,11 @@ def test_optimize_aborts_on_infinite_variance(monkeypatch):
 
 def test_working_set_estimate_at_the_largest_size():
     L, M = 24, rbm.n_hidden(24, 4.0)
-    # arrays of 2^L rows: R over 1 + L(L+1)/2 spin pairs, s_hat, tanh theta;
-    # G has only one block of rows
+    # arrays of 2^L rows: s_hat, tanh theta, the complex log Psi, psi, H psi
+    # and E_loc, the Born weights, and the CSR matrix of H (2L flip masks per
+    # row, 12 bytes each); G has only one block of rows
     g_block = rbm.ROW_BLOCK * 16 * (M + 1) * (M + 2) // 2
-    held = 2**L * 8 * (1 + L * (L + 1) // 2 + L + 1 + 2 * M) + g_block
+    held = 2**L * (8 * (L + 1 + 2 * M) + 4 * 16 + 8 + 2 * L * 12) + g_block
     assert held <= sr.working_set_bytes(L, M) < 1.3 * held
 
 
