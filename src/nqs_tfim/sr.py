@@ -32,9 +32,13 @@ block b. So the spin pairs split in three:
   10 low factors summed over one block;
 - both high: sum_b sigma_i(b) sigma_j(b) C_b[0].
 
+The first block, where every high spin is -1, needs no C_b: sum_b C_b is
+s_low^T sum_b G_b, the rows (0, i) of the first part, so the other blocks
+are summed with the weights sigma_j + 1 and sigma_i sigma_j - 1, which
+vanish on the first block, and the total is then subtracted or added.
 Up to L = 9 there is one block and only the first part. S, <O> and f are
 read out of the stacked moments through fixed index maps, conjugated where
-a > b. At L = M = 12 the moments cost 44 MFlop per iteration (34 of them in
+a > b. At L = M = 12 the moments cost 40 MFlop per iteration (30 of them in
 the per-block C_b), against 124 for the full product R^T G over all
 1 + L(L+1)/2 pairs and 925 for the complex O^H O; G takes 0.85 MB for one
 block, and no array of 2^L rows depends on the number of spin pairs. The
@@ -170,8 +174,8 @@ class _Layout(NamedTuple):
     s_hat: np.ndarray         # (2^L, L+1) spin factors [1, s_1..s_L]
     r_low: np.ndarray         # (block rows, P_low) low spin pairs of a block
     s_low: np.ndarray         # (block rows, LOW_SITES + 1) as complex numbers
-    sigma: np.ndarray         # (blocks, high sites) spins of the high sites
-    sigma_pairs: np.ndarray   # (blocks, high pairs) their products, j < k
+    high_weights: np.ndarray  # (blocks, high sites) sigma_j + 1
+    pair_weights: np.ndarray  # (blocks, high pairs) sigma_j sigma_k - 1, j < k
     readout: np.ndarray       # (n_var+1, n_var+1) index of <O*_k O_l>
     forces: np.ndarray        # (n_var,) index of <E_loc O*_k>
 
@@ -213,7 +217,7 @@ def _product_layout(L: int, M: int) -> _Layout:
                + n_rows * n_g * (hidden[:, None] > hidden))
     forces = s_pos[0, site[1:]] * n_g + (M + 1) * (M + 2) // 2 + hidden[1:]
     layout = _Layout(s_hat, block[:, li] * block[:, lj], block[:, :n_low + 1].astype(complex),
-                     sigma, sigma[:, hi] * sigma[:, hj], readout, forces)
+                     sigma + 1, sigma[:, hi] * sigma[:, hj] - 1, readout, forces)
     for arr in layout:
         arr.setflags(write=False)
     return layout
@@ -245,33 +249,36 @@ def _full_expectations(h: RotatedTfim, w: RbmParameters):
     n_rows = len(lay.r_low)
     t_hat = np.ones((M + 1, n_rows), dtype=complex)
     pt = np.empty_like(t_hat)
-    g = np.zeros((_g_rows(M), n_rows), dtype=complex)
-    g_sum = np.zeros_like(g)
-    low_high = np.zeros((lay.sigma.shape[1], lay.s_low.shape[1], len(g)), dtype=complex)
-    high_high = np.zeros((lay.sigma_pairs.shape[1], len(g)), dtype=complex)
+    g_sum = np.zeros((_g_rows(M), n_rows), dtype=complex)
+    g = np.zeros_like(g_sum)
+    n_low = lay.s_low.shape[1]
+    low_high = np.zeros((lay.high_weights.shape[1], n_low, len(g)), dtype=complex)
+    high_high = np.zeros((lay.pair_weights.shape[1], len(g)), dtype=complex)
     for b, lo in enumerate(range(0, len(p), n_rows)):   # fixed block order
         rows = slice(lo, lo + n_rows)
         t_hat[1:] = t[rows].T
         np.conjugate(t_hat, out=pt)
         pt *= p[rows]
+        g_b = g if b else g_sum   # the first block goes straight into the sum
         col = 0
         for a in range(M + 1):   # the pairs (a, b >= a), in _pairs order
-            np.multiply(pt[a], t_hat[a:], out=g[col:col + M + 1 - a])
+            np.multiply(pt[a], t_hat[a:], out=g_b[col:col + M + 1 - a])
             col += M + 1 - a
-        np.multiply(pt, e_loc[rows], out=g[col:col + M + 1])
-        g_sum += g
-        if low_high.size:   # sites above the block: sum the low factors
-            c = lay.s_low.T @ g.T
-            low_high += lay.sigma[b, :, None, None] * c
-            high_high += lay.sigma_pairs[b, :, None] * c[0]
+        np.multiply(pt, e_loc[rows], out=g_b[col:col + M + 1])
+        if b:
+            g_sum += g
+            c = lay.s_low.T @ g.T   # the low factors summed over the block
+            low_high += lay.high_weights[b, :, None, None] * c
+            high_high += lay.pair_weights[b, :, None] * c[0]
     g_sum_t = g.reshape(n_rows, -1)   # reuses G's memory
     g_sum_t[:] = g_sum.T
-    low = lay.r_low.T @ g_sum_t.view(np.float64)
-    moments = np.concatenate([low.view(complex), low_high.reshape(-1, len(g)), high_high])
+    low = (lay.r_low.T @ g_sum_t.view(np.float64)).view(complex)
+    low_high -= low[:n_low]   # its first rows, (0, i), are s_low^T sum_b G_b
+    high_high += low[0]
+    moments = np.concatenate([low, low_high.reshape(-1, len(g)), high_high])
     x = np.take(np.concatenate([moments, moments.conj()]), lay.readout)
     o_mean = x[0, 1:]
-    s_mat = x[1:, 1:]
-    s_mat -= np.outer(o_mean.conj(), o_mean)
+    s_mat = x[1:, 1:] - np.outer(o_mean.conj(), o_mean)
     s_mat += s_mat.conj().T
     s_mat /= 2   # Hermitian bit for bit
     f = np.take(moments, lay.forces) - energy * o_mean.conj()
