@@ -10,9 +10,15 @@ Truncation keeps the N by-magnitude largest coefficients (not the lowest
 orders), re-exponentiates and renormalizes. An infidelity curve computes
 the coefficients, their ranking and the signed vector (-1)^|A| c_A once and
 keeps one masked copy of it; each N then costs one scatter of the entries
-kept or dropped since the previous N, one FWHT, and one real exp and one
-tan per amplitude: with log a = x + iy and t = tan(y/2), a = e^x ((1 - t^2)
-+ 2it) / (1 + t^2), the half-angle form `rbm.log_psi_and_tanh` uses.
+kept or dropped since the previous N and one FWHT. For a complex signed
+vector each N takes its own FWHT and one real exp and one tan per
+amplitude: with log a = x + iy and t = tan(y/2), a = e^x ((1 - t^2) + 2it)
+/ (1 + t^2), the half-angle form `rbm.log_psi_and_tanh` uses. A sign-free
+state (all phases equal, as every phase-fixed ground state of a stoquastic
+H) has a real signed vector, so every truncation has real log-amplitudes:
+two N then share one FWHT, one in each plane of the masked vector, and
+each costs one real exp per amplitude. The curve values are the same bit
+for bit either way.
 """
 
 from dataclasses import dataclass
@@ -133,49 +139,80 @@ def default_n_grid(L: int, n_points: int = 200) -> np.ndarray:
 def infidelity_curve(source: np.ndarray, reference: np.ndarray, ns) -> list:
     """(N, infidelity(truncated source, reference)) for each N in ns.
 
-    Each N in ns must lie in [1, 2^L]; ns may come in any order and repeat.
-    The overlap is taken on the unnormalized truncated amplitudes, since
-    the infidelity does not depend on norm or global phase; their norm
-    comes from the real magnitudes e^x.
+    source and reference must be 1-D and of one length. Each N in ns must
+    lie in [1, 2^L]; ns may come in any order and repeat. A sign-free
+    source, whose signed coefficients have no nonzero imaginary part, has
+    real log-amplitudes at every N: consecutive N of ns then share one
+    transform, the first in the real plane of the masked vector and the
+    second in its imaginary plane, each plane with its own kept count. The
+    FWHT adds and subtracts the two planes separately, so each comes out
+    bit for bit as if transformed alone. Other sources take one transform
+    per N.
     """
+    source, reference = np.asarray(source), np.asarray(reference, dtype=complex)
+    exact.check_state_pair(source, reference)
     coeffs = cumulant_coefficients(exact.fix_phase(exact.normalize(source)))
     c = coeffs.c
     ns = [int(n) for n in ns]
     for n in ns:
         if not 1 <= n <= c.size:
             raise ValueError(f"N={n} outside [1, {c.size}]")
-    reference = np.asarray(reference, dtype=complex)
     ref_norm = np.linalg.norm(reference)
     if ref_norm == 0:
         raise ValueError("infidelity undefined for a zero vector")
     ranking = magnitude_ranking(coeffs)
     signed = (1.0 - 2.0 * (subset_orders(coeffs.L) & 1)) * c
     masked = np.zeros_like(c)
-    mag, t, q = (np.empty(c.size) for _ in range(3))   # reused for every N
-    kept = 0
+    if np.any(signed.imag):
+        planes, values = (masked,), signed
+    else:
+        planes, values = (masked.real, masked.imag), signed.real
+    kept = [0] * len(planes)
+    buffers = tuple(np.empty(c.size) for _ in range(3))   # reused for every N
     out = []
-    for n in ns:
-        if n > kept:
-            added = ranking[kept:n]
-            masked[added] = signed[added]
-        else:
-            masked[ranking[n:kept]] = 0
-        kept = n
-        amps = fwht(masked)                              # log a = x + iy
-        np.subtract(amps.real, np.max(amps.real), out=mag)
-        np.exp(mag, out=mag)                             # |a| = e^x
+    for start in range(0, len(ns), len(planes)):
+        chunk = ns[start:start + len(planes)]
+        for p, n in enumerate(chunk):
+            if n > kept[p]:
+                added = ranking[kept[p]:n]
+                planes[p][added] = values[added]
+            else:
+                planes[p][ranking[n:kept[p]]] = 0
+            kept[p] = n
+        log_amps = fwht(masked)
+        parts = [log_amps] if len(planes) == 1 else [log_amps.real, log_amps.imag]
+        for n, log_a in zip(chunk, parts):
+            out.append((n, _truncation_infidelity(log_a, reference, ref_norm, buffers)))
+    return out
+
+
+def _truncation_infidelity(log_a, reference, ref_norm, buffers) -> float:
+    """Infidelity of the amplitudes e^(log_a) against the reference.
+
+    A real log_a = x gives a = e^(x - max x). A complex log_a = x + iy is
+    overwritten with a = e^(x - max x) ((1 - t^2) + 2it) / (1 + t^2), where
+    t = tan(y/2): one real exp and one tan per amplitude, the half-angle
+    form `rbm.log_psi_and_tanh` uses. The overlap is taken on these
+    unnormalized amplitudes, since the infidelity does not depend on norm
+    or global phase; their norm comes from the real magnitudes e^x.
+    """
+    mag, t, q = buffers
+    np.subtract(log_a.real, np.max(log_a.real), out=mag)
+    np.exp(mag, out=mag)                             # |a| = e^x
+    amps = mag
+    if np.iscomplexobj(log_a):
+        amps = log_a
         np.multiply(amps.imag, 0.5, out=t)
         np.tan(t, out=t)
         np.multiply(t, t, out=q)
         np.subtract(1.0, q, out=amps.real)
         q += 1.0
-        np.divide(mag, q, out=q)                         # |a| / (1 + t^2)
-        amps.real *= q                                   # |a| cos y
+        np.divide(mag, q, out=q)                     # |a| / (1 + t^2)
+        amps.real *= q                               # |a| cos y
         q += q
-        np.multiply(q, t, out=amps.imag)                 # |a| sin y
-        overlap = np.abs(np.vdot(reference, amps)) / (np.linalg.norm(mag) * ref_norm)
-        out.append((n, float(max(0.0, 1.0 - overlap**2))))
-    return out
+        np.multiply(q, t, out=amps.imag)             # |a| sin y
+    overlap = np.abs(np.vdot(reference, amps)) / (np.linalg.norm(mag) * ref_norm)
+    return float(max(0.0, 1.0 - overlap**2))
 
 
 def coefficient_relative_errors(

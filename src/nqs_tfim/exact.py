@@ -134,9 +134,17 @@ def degenerate_superpositions(psi0: np.ndarray, psi1: np.ndarray):
     return plus, minus
 
 
+def check_state_pair(phi: np.ndarray, psi: np.ndarray) -> None:
+    """Refuse two states unless both are 1-D and of one length."""
+    if phi.ndim != 1 or phi.shape != psi.shape:
+        raise ValueError(f"states of shapes {phi.shape} and {psi.shape} are not "
+                         "two 1-D vectors of one length")
+
+
 def infidelity(phi: np.ndarray, psi: np.ndarray) -> float:
     """1 - |<psi|phi>|^2 / (<psi|psi><phi|phi>), global-phase invariant."""
     phi, psi = np.asarray(phi, complex), np.asarray(psi, complex)
+    check_state_pair(phi, psi)
     np_, nq = np.linalg.norm(phi), np.linalg.norm(psi)
     if np_ == 0 or nq == 0:
         raise ValueError("infidelity undefined for a zero vector")

@@ -53,15 +53,21 @@ class RotatedTfim:
         """H as a CSR matrix with one entry per flip mask in every row.
 
         Masks are stored in ascending order; an entry is the sum of its
-        mask's terms, added in `terms` order starting from 0.0. Takes
-        n_masks * 2^L * 12 bytes.
+        mask's terms, added in `terms` order starting from 0.0. A term's
+        sign is the product of the +-1 spin columns of the sites in its
+        z-mask, formed once as int8. Takes n_masks * 2^L * 12 bytes.
         """
         idx = np.arange(self.dim, dtype=np.int32)
         masks = sorted({x_mask for x_mask, _, _ in self.terms})
         column = {x_mask: k for k, x_mask in enumerate(masks)}
+        spins = [(2 * ((idx >> i) & 1) - 1).astype(np.int8) for i in range(self.L)]
         data = np.zeros((self.dim, len(masks)))
         for x_mask, z_mask, coeff in self.terms:
-            data[:, column[x_mask]] += coeff * hilbert.parity_in_mask(idx, z_mask)
+            sign = np.ones(self.dim, dtype=np.int8)
+            for i in range(self.L):
+                if z_mask >> i & 1:
+                    sign *= spins[i]
+            data[:, column[x_mask]] += coeff * sign
         indices = idx[:, None] ^ np.array(masks, dtype=np.int32)
         indptr = np.arange(self.dim + 1, dtype=np.int32) * len(masks)
         return scipy.sparse.csr_array(

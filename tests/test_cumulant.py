@@ -78,6 +78,15 @@ def test_fwht_is_bit_identical_to_stage_loop(rng, L):
     assert np.array_equal(cumulant.fwht(v.real), loop_fwht(v.real))
 
 
+@pytest.mark.parametrize("L", range(1, 15))
+def test_fwht_transforms_real_and_imaginary_planes_separately(rng, L):
+    x, y = rng.normal(size=1 << L), rng.normal(size=1 << L)
+    both = cumulant.fwht(x + 1j * y)
+    assert np.array_equal(both, cumulant.fwht(x) + 1j * cumulant.fwht(y))
+    assert both.real.tobytes() == cumulant.fwht(x).real.tobytes()
+    assert both.imag.tobytes() == cumulant.fwht(y).real.tobytes()
+
+
 def test_fwht_leaves_its_input_alone(rng):
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
     before = v.copy()
@@ -272,6 +281,63 @@ def test_infidelity_curve_does_not_depend_on_order_or_repeats(rng):
     mixed = [64, 1, 1, 30, 2, 64, 17, 16, 40, 3]
     for n, value in cumulant.infidelity_curve(perturbed, psi, mixed):
         assert value == ascending[n]
+
+
+def count_transforms(monkeypatch):
+    """Make cumulant.fwht count its calls; returns the counter list."""
+    calls, fwht = [], cumulant.fwht
+    monkeypatch.setattr(cumulant, "fwht", lambda v: calls.append(1) or fwht(v))
+    return calls
+
+
+@pytest.mark.parametrize("L", [4, 9])
+def test_sign_free_curve_pairs_truncations_bit_for_bit(rng, monkeypatch, L):
+    psi, _ = curve_sources(L, rng)
+    # odd count, unsorted, repeated, and the full expansion N = 2^L
+    ns = [5, 1 << L, 3, 3, 1, 12, 1 << L, 2, 7]
+    calls = count_transforms(monkeypatch)
+    got = cumulant.infidelity_curve(psi, psi, ns)
+    assert len(calls) == 1 + (len(ns) + 1) // 2   # coefficients, then one per pair
+    for n, value in got:
+        assert value == cumulant.infidelity_curve(psi, psi, [n])[0][1]
+    assert [n for n, _ in got] == ns
+    want = reference_curve(psi, psi, ns)
+    assert np.allclose([v for _, v in got], [v for _, v in want], rtol=0, atol=1e-13)
+
+
+def test_signed_real_curve_takes_one_transform_per_n(rng, monkeypatch):
+    psi, _ = curve_sources(6, rng)
+    signed = psi.real * np.where(rng.random(psi.size) < 0.2, -1.0, 1.0)
+    ns = [40, 2, 64, 2, 9]
+    calls = count_transforms(monkeypatch)
+    got = cumulant.infidelity_curve(signed, psi, ns)
+    assert len(calls) == 1 + len(ns)
+    want = reference_curve(signed, psi, ns)
+    assert np.allclose([v for _, v in got], [v for _, v in want], rtol=0, atol=1e-13)
+
+
+def test_negative_zero_imaginary_parts_count_as_sign_free(rng, monkeypatch):
+    psi, _ = curve_sources(5, rng)
+    source = psi.real.astype(complex)
+    source.imag = -0.0
+    assert np.all(np.signbit(source.imag))
+    ns = [1, 8, 32, 3]
+    calls = count_transforms(monkeypatch)
+    got = cumulant.infidelity_curve(source, psi, ns)
+    assert len(calls) == 1 + len(ns) // 2
+    assert got == cumulant.infidelity_curve(psi, psi, ns)
+
+
+@pytest.mark.parametrize("source, reference, shapes", [
+    (np.ones(16), np.ones((4, 4)), r"\(16,\) and \(4, 4\)"),
+    (np.ones(16), np.ones(8), r"\(16,\) and \(8,\)"),
+    (np.ones((4, 4)), np.ones((4, 4)), r"\(4, 4\) and \(4, 4\)"),
+])
+def test_state_shape_mismatches_are_refused(source, reference, shapes):
+    with pytest.raises(ValueError, match=shapes):
+        exact.infidelity(source, reference)
+    with pytest.raises(ValueError, match=shapes):
+        cumulant.infidelity_curve(source, reference, [1])
 
 
 @pytest.mark.parametrize("bad", [0, -1, 17])

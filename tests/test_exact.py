@@ -28,7 +28,7 @@ def test_ground_states_residuals_and_order():
 
 
 def test_iterative_solver_path():
-    # L = 13 is above exact.DENSE_SOLVE_MAX_SITES (10); check the Lanczos
+    # L = 13 is above exact.DENSE_SOLVE_MAX_SITES (9); check the Lanczos
     # branch against theta invariance and its own residuals
     s_a = exact.ground_states(RotatedTfim(13, 1.5, 0.0), k=2)
     s_b = exact.ground_states(RotatedTfim(13, 1.5, 0.3), k=2)

@@ -127,6 +127,30 @@ def test_dense_matrix_matches_per_term_accumulation():
     assert np.array_equal(hamiltonian.dense_matrix(h), ref)
 
 
+def per_term_elements(h):
+    """The CSR arrays built with one parity_in_mask per term (oracle)."""
+    idx = np.arange(h.dim, dtype=np.int32)
+    masks = sorted({x_mask for x_mask, _, _ in h.terms})
+    column = {x_mask: k for k, x_mask in enumerate(masks)}
+    data = np.zeros((h.dim, len(masks)))
+    for x_mask, z_mask, coeff in h.terms:
+        data[:, column[x_mask]] += coeff * hilbert.parity_in_mask(idx, z_mask)
+    indices = idx[:, None] ^ np.array(masks, dtype=np.int32)
+    indptr = np.arange(h.dim + 1, dtype=np.int32) * len(masks)
+    return data.ravel(), indices.ravel(), indptr
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 2, np.pi])
+@pytest.mark.parametrize("L", [1, 2, 6, 12, 14])
+def test_element_table_is_bit_identical_to_per_term_build(L, theta):
+    m = RotatedTfim(L, 0.9, theta).elements
+    data, indices, indptr = per_term_elements(RotatedTfim(L, 0.9, theta))
+    assert np.array_equal(m.data, data)
+    assert np.array_equal(np.signbit(m.data), np.signbit(data))
+    assert np.array_equal(m.indices, indices)
+    assert np.array_equal(m.indptr, indptr)
+
+
 @pytest.mark.parametrize("L", [10, 12])
 def test_matvec_matches_dense_at_lanczos_sizes(L, rng):
     h = RotatedTfim(L, 1.1, 0.3)
