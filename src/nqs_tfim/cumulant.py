@@ -14,11 +14,11 @@ kept or dropped since the previous N and one FWHT. For a complex signed
 vector each N takes its own FWHT and one real exp and one tan per
 amplitude: with log a = x + iy and t = tan(y/2), a = e^x ((1 - t^2) + 2it)
 / (1 + t^2), the half-angle form `rbm.log_psi_and_tanh` uses. A sign-free
-state (all phases equal, as every phase-fixed ground state of a stoquastic
-H) has a real signed vector, so every truncation has real log-amplitudes:
-two N then share one FWHT, one in each plane of the masked vector, and
-each costs one real exp per amplitude. The curve values are the same bit
-for bit either way.
+state (all phases equal, such as the ground state of a stoquastic H) has a
+real signed vector, so every truncation has real log-amplitudes: two N
+then share one FWHT, one in each plane of the masked vector, and each
+costs one real exp per amplitude. The curve values are the same bit for
+bit either way.
 """
 
 from dataclasses import dataclass
