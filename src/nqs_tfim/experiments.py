@@ -31,6 +31,9 @@ from .sr import SrConfig
 
 log = logging.getLogger(__name__)
 
+# libyaml's parser when PyYAML was built with it; both build the same documents
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 @dataclass
 class ExperimentConfig:
@@ -141,14 +144,15 @@ def _convert(path, section, key, convert, value):
 
 
 def load_config(path, kind: str | None = None, **overrides) -> ExperimentConfig:
-    """Read a YAML experiment file (nested sections grid/rbm/sr/output)
-    through YAML_FIELDS. Unknown keys and values that do not convert are
-    errors that name the key (`grid.L`), and so is grid.theta for
-    pi-compare, which always compares theta = 0 with theta = pi. Overrides
-    that are not None replace config fields; ExperimentConfig range-checks
-    every value and names the field and its YAML key."""
+    """Read a YAML experiment file (nested sections grid/rbm/sr/output),
+    parsed by YAML_LOADER, through YAML_FIELDS. Unknown keys and values
+    that do not convert are errors that name the key (`grid.L`), and so
+    is grid.theta for pi-compare, which always compares theta = 0 with
+    theta = pi. Overrides that are not None replace config fields;
+    ExperimentConfig range-checks every value and names the field and its
+    YAML key."""
     with open(path) as fh:
-        doc = yaml.safe_load(fh) or {}
+        doc = yaml.load(fh, Loader=YAML_LOADER) or {}
     _check_keys(path, doc, TOP_KEYS)
     sections = {None: doc, **{name: doc.get(name) or {} for name in SECTION_KEYS}}
     for name in SECTION_KEYS:

@@ -150,13 +150,16 @@ def dense_matrix(h: RotatedTfim) -> np.ndarray:
 def matvec(h: RotatedTfim, v: np.ndarray) -> np.ndarray:
     """H @ v from the cached CSR matrix, O(n_masks * 2^L).
 
-    A complex v is applied as two real products, so the real matrix is
-    never converted to complex.
+    A complex v is applied as one product to its real view, the real and
+    imaginary parts side by side, so the real matrix is never converted to
+    complex and is read once.
     """
     m = h.elements
     v = np.asarray(v)
     if np.iscomplexobj(v):
-        return m @ v.real + 1j * (m @ v.imag)
+        v = np.ascontiguousarray(v, dtype=complex)
+        pairs = v.view(np.float64).reshape(len(v), -1)
+        return (m @ pairs).view(complex).reshape(v.shape)
     return m @ v
 
 

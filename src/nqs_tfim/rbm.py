@@ -4,6 +4,14 @@ Psi(s) = exp(sum_i a_i s_i) * prod_j cosh(b_j + sum_i W_ij s_i), with all
 parameters complex. The flat parameter vector is ordered
 [a_0..a_{L-1}, b_0..b_{M-1}, W_00, W_01, ..] with W row-major (site-major);
 the SR matrix indexing relies on this order.
+
+log Psi and tanh theta, theta = s W + b, come from one fused kernel,
+log_psi_and_tanh_into: per block of ROW_BLOCK configurations it forms
+theta^T = coef^T s^T by one real product and works in place on (M, block)
+real rows of a caller's scratch, so it allocates nothing of block size.
+It writes tanh theta hidden-major, (M, n), the layout the SR moment build
+reads row by row; log_psi_and_tanh returns it as an (n, M) transposed
+view.
 """
 
 import json
@@ -74,13 +82,35 @@ def init_random(L: int, alpha: float, seed: int, scale: float = DEFAULT_INIT_SCA
     return RbmParameters.from_vector(vec, L, M)
 
 
-def log_psi_and_tanh(w: RbmParameters, s: np.ndarray):
-    """log Psi and tanh theta, theta = s W + b, for the spin rows s (n, L).
+def kernel_work_shape(M: int, n: int) -> tuple:
+    """Shape of the real scratch of log_psi_and_tanh_into for n rows and M
+    hidden units: the (2M+2)-row product block and seven (M, block)
+    temporaries."""
+    return (9 * M + 2, min(n, ROW_BLOCK))
 
-    Both come from one exponential per (row, hidden unit), in real
-    arithmetic on blocks of ROW_BLOCK rows. With z = sigma theta, sigma = +-1
-    chosen so that Re z >= 0, e^{-2z} = u e^{iy}, u = exp(-2 Re z) <= 1,
-    y = -2 Im z, and d = 1 + e^{-2z} = 2 + expm1(-2z):
+
+def log_psi_and_tanh(w: RbmParameters, s: np.ndarray):
+    """log Psi (n,) and tanh theta (n, M), theta = s W + b, for the spin
+    rows s (n, L). tanh theta is a transposed view of a hidden-major
+    (M, n) array; see log_psi_and_tanh_into."""
+    lp = np.empty(len(s), dtype=complex)
+    t = np.empty((w.M, len(s)), dtype=complex)
+    log_psi_and_tanh_into(w, s, lp, t, np.empty(kernel_work_shape(w.M, len(s))))
+    return lp, t.T
+
+
+def log_psi_and_tanh_into(w: RbmParameters, s: np.ndarray, lp: np.ndarray,
+                          t: np.ndarray, work: np.ndarray) -> None:
+    """Write log Psi of the spin rows s (n, L) into lp (n,) and tanh theta,
+    theta = s W + b, hidden-major into t (M, n); work is a real array of
+    shape kernel_work_shape(M, n).
+
+    Both come from one exponential per (hidden unit, row), in real
+    arithmetic on blocks of ROW_BLOCK rows: theta^T = coef^T s^T is one
+    real product per block, and every step after it runs in place on
+    (M, block) rows of work. With z = sigma theta, sigma = +-1 chosen so
+    that Re z >= 0, e^{-2z} = u e^{iy}, u = exp(-2 Re z) <= 1, y = -2 Im z,
+    and d = 1 + e^{-2z} = 2 + expm1(-2z):
 
         log cosh theta = z - log 2 + log d,
         tanh theta = sigma (1 - u^2 - 2i Im d) / |d|^2.
@@ -90,34 +120,60 @@ def log_psi_and_tanh(w: RbmParameters, s: np.ndarray):
     products of same-signed terms: tanh keeps a few ulp at any |theta|, and
     |d| is not small except near the poles theta = i pi (k + 1/2), so no
     row's log underflows. The imaginary part of log Psi sums principal
-    arguments, as sum_j log cosh theta_j does.
+    arguments, as sum_j log cosh theta_j does; the sums over the hidden
+    units run over the rows of a block in order.
     """
     M = w.M
-    # one real product gives [Re(s a), Re(s W), Im(s a), Im(s W)]
-    coef = np.hstack([w.a.real[:, None], w.W.real, w.a.imag[:, None], w.W.imag])
-    lp = np.empty(len(s), dtype=complex)
-    t = np.empty((len(s), M), dtype=complex)
+    # one real product gives the rows [Re(s a), Re(s W), Im(s a), Im(s W)]
+    coef_t = np.empty((2 * M + 2, w.L))
+    coef_t[0], coef_t[M + 1] = w.a.real, w.a.imag
+    coef_t[1:M + 1], coef_t[M + 2:] = w.W.real.T, w.W.imag.T
+    b_re, b_im = w.b.real[:, None], w.b.imag[:, None]
     for lo in range(0, len(s), ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
-        x = s[rows] @ coef
-        theta_re = x[:, 1:M + 1] + w.b.real
-        sigma = np.copysign(1.0, theta_re)
-        zr = theta_re * sigma
-        zi = (x[:, M + 2:] + w.b.imag) * sigma
-        tn = np.tan(zi)                       # tan(y/2) = -tn
-        tn2 = tn * tn
-        em1 = np.expm1(-2.0 * zr)
-        u = np.exp(-2.0 * zr)
-        q = 1.0 / (1.0 + tn2)
-        d_re = (1.0 + u - em1 * tn2) * q
-        v = 2.0 * u * tn * q                  # -Im d
-        d2 = d_re * d_re + v * v
-        lp[rows].real = x[:, 0] - M * LOG2 + np.sum(zr + 0.5 * np.log(d2), axis=1)
-        lp[rows].imag = x[:, M + 1] + np.sum(zi - np.arctan2(v, d_re), axis=1)
+        n = min(ROW_BLOCK, len(s) - lo)
+        x = work[:2 * M + 2, :n]
+        sigma, tn, t2, em1, u, q, one_u = work[2 * M + 2:, :n].reshape(7, M, n)
+        np.matmul(coef_t, s[rows].T, out=x)
+        zr, zi = x[1:M + 1], x[M + 2:]
+        zr += b_re                              # Re theta
+        zi += b_im                              # Im theta
+        np.copysign(1.0, zr, out=sigma)
+        zr *= sigma
+        zi *= sigma
+        np.tan(zi, out=tn)                      # tan(y/2) = -tn
+        np.multiply(tn, tn, out=t2)
+        np.multiply(zr, -2.0, out=em1)
+        np.exp(em1, out=u)                      # u
+        np.expm1(em1, out=em1)                  # expm1(-2 Re z)
+        np.add(t2, 1.0, out=q)
+        np.divide(1.0, q, out=q)                # q = 1 / (1 + tn^2)
+        np.add(u, 1.0, out=one_u)
+        t2 *= em1
+        np.subtract(one_u, t2, out=t2)
+        d_re = np.multiply(t2, q, out=t2)       # (1 + u - em1 tn^2) q
+        u *= 2.0
+        u *= tn
+        v = np.multiply(u, q, out=u)            # -Im d = 2 u tn q
+        np.multiply(d_re, d_re, out=tn)
+        np.multiply(v, v, out=q)
+        d2 = np.add(tn, q, out=tn)              # |d|^2
+        lp_b = lp[rows]
+        np.log(d2, out=q)
+        q *= 0.5
+        q += zr                                 # Re log cosh theta + log 2
+        np.add.reduce(q, axis=0, out=lp_b.real)
+        lp_b.real += x[0] - M * LOG2
+        np.arctan2(v, d_re, out=q)
+        np.subtract(zi, q, out=q)               # Im log cosh theta
+        np.add.reduce(q, axis=0, out=lp_b.imag)
+        lp_b.imag += x[M + 1]
         sigma /= d2
-        np.multiply(-em1 * (1.0 + u), sigma, out=t[rows].real)
-        np.multiply(2.0 * v, sigma, out=t[rows].imag)
-    return lp, t
+        np.negative(em1, out=em1)
+        em1 *= one_u                            # 1 - u^2
+        np.multiply(em1, sigma, out=t[:, rows].real)
+        v *= 2.0
+        np.multiply(v, sigma, out=t[:, rows].imag)
 
 
 def log_psi_all(w: RbmParameters) -> np.ndarray:

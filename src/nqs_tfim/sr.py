@@ -19,8 +19,10 @@ G (complex) holds the hidden factors of both, p conj(t_hat_a) t_hat_b for
 a <= b and p E_loc conj(t_hat_a), in (M+1)(M+4)/2 rows padded with zeros to
 a multiple of 8; its columns are the configurations of one block, so each
 row fills with contiguous writes. log Psi and tanh theta come from one
-fused kernel (rbm.log_psi_and_tanh); then G is filled and summed over
-blocks of rbm.ROW_BLOCK = 2^9 rows in a fixed order, so the sums do not
+fused kernel (rbm.log_psi_and_tanh_into), which writes t_hat hidden-major,
+(M+1, 2^L), so that a block of G reads contiguous rows of t_hat; then G
+is filled and summed over blocks of rbm.ROW_BLOCK = 2^9 rows in a fixed
+order, so the sums do not
 depend on the BLAS thread count. Inside a block only the LOW_SITES = 9
 sites 0 .. 8 vary; the sites above are constant spins sigma_j(b) of the
 block b. So the spin pairs split in three:
@@ -38,15 +40,25 @@ are summed with the weights sigma_j + 1 and sigma_i sigma_j - 1, which
 vanish on the first block, and the total is then subtracted or added.
 Up to L = 9 there is one block and only the first part. S, <O> and f are
 read out of the stacked moments through fixed index maps, conjugated where
-a > b. At L = M = 12 the moments cost 40 MFlop per iteration (30 of them in
-the per-block C_b), against 124 for the full product R^T G over all
-1 + L(L+1)/2 pairs and 925 for the complex O^H O; G takes 0.85 MB for one
-block, and no array of 2^L rows depends on the number of spin pairs. The
-update comes from LAPACK's zhesv. working_set_bytes estimates the memory of
-one iteration, and optimize refuses a run that would not fit.
+a > b; S is made Hermitian bit for bit as (S + S^H) / 2. At L = M = 12 the
+moments cost 40 MFlop per iteration (30 of them in the per-block C_b),
+against 124 for the full product R^T G over all 1 + L(L+1)/2 pairs and 925
+for the complex O^H O; G takes 0.85 MB for one block, and no array of 2^L
+rows depends on the number of spin pairs. The update comes from LAPACK's
+unblocked zhesv, on one copy of S + eps.
+
+optimize checks working_set_bytes against physical memory, then allocates
+one set of buffers (_Buffers: log Psi and t_hat for all configurations,
+the kernel's scratch, G and its sum, the moment slots, S and the outer
+product) and reuses it in every iteration, so an iteration allocates no
+array of block or n_var^2 size other than that copy of S; the state
+vectors of _born_energy (psi, p, E_loc) are still allocated per iteration.
+The parameters stay in one flat vector that the RbmParameters of each
+step views. expectations takes a fresh set of buffers per call.
 """
 
 import functools
+import math
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -128,15 +140,15 @@ def local_energy(h: RotatedTfim, w: RbmParameters, s: int) -> complex:
 def _born_energy(h: RotatedTfim, lp: np.ndarray):
     """Born weights p, local energies, energy and variance of the state
     with log-amplitudes lp."""
-    psi = np.exp(lp - np.max(lp.real))
+    psi = np.exp(lp - lp.real.max())
     p = np.abs(psi) ** 2
     p /= p.sum()
     e_loc = local_energies(h, psi)
     # configurations of zero Born weight are left out of every sum, also
     # where |psi| is so small that E_loc overflowed
     e_loc[p == 0] = 0
-    energy = complex(np.sum(p * e_loc))
-    var = float(np.sum(p * np.abs(e_loc - energy) ** 2))
+    energy = complex((p * e_loc).sum())
+    var = float((p * np.abs(e_loc - energy) ** 2).sum())
     return p, e_loc, energy, var
 
 
@@ -155,9 +167,9 @@ def _pairs(n: int, diagonal: bool = True):
 
 
 def _in_parameter_order(grid: np.ndarray) -> np.ndarray:
-    """Entries of an (L+1, M+1) grid over the factor pairs (i, a): the
-    constant (0, 0), then a, b and W in the flat parameter order."""
-    return np.concatenate([grid[:1, 0], grid[1:, 0], grid[0, 1:], grid[1:, 1:].ravel()])
+    """Entries of an (L+1, M+1) grid over the factor pairs (i, a) for a, b
+    and W, in the flat parameter order."""
+    return np.concatenate([grid[1:, 0], grid[0, 1:], grid[1:, 1:].ravel()])
 
 
 def _g_rows(M: int) -> int:
@@ -176,7 +188,8 @@ class _Layout(NamedTuple):
     s_low: np.ndarray         # (block rows, LOW_SITES + 1) as complex numbers
     high_weights: np.ndarray  # (blocks, high sites) sigma_j + 1
     pair_weights: np.ndarray  # (blocks, high pairs) sigma_j sigma_k - 1, j < k
-    readout: np.ndarray       # (n_var+1, n_var+1) index of <O*_k O_l>
+    readout: np.ndarray       # (n_var, n_var) index of <O*_k O_l>
+    means: np.ndarray         # (n_var,) index of <O_k>
     forces: np.ndarray        # (n_var,) index of <E_loc O*_k>
 
 
@@ -190,8 +203,8 @@ def _product_layout(L: int, M: int) -> _Layout:
     constant and the low sites, in _pairs order), then (low factor i, high
     site j) at j (LOW_SITES + 1) + i, then the pairs j < k of high sites.
     readout indexes the flattened [moments; conj(moments)] of the
-    (rows, _g_rows(M)) moments, forces the columns of the force factors in
-    the first part; both list the constant (0, 0) first, then the
+    (rows, _g_rows(M)) moments, means the pairs with the constant and
+    forces the columns of the force factors in the first part, all in the
     parameter order."""
     n_low = min(L, LOW_SITES)
     n_high = L - n_low
@@ -215,73 +228,133 @@ def _product_layout(L: int, M: int) -> _Layout:
     n_g = _g_rows(M)
     readout = (s_pos[site[:, None], site] * n_g + t_pos[hidden[:, None], hidden]
                + n_rows * n_g * (hidden[:, None] > hidden))
-    forces = s_pos[0, site[1:]] * n_g + (M + 1) * (M + 2) // 2 + hidden[1:]
+    means = s_pos[0, site] * n_g + t_pos[0, hidden]
+    forces = s_pos[0, site] * n_g + (M + 1) * (M + 2) // 2 + hidden
     layout = _Layout(s_hat, block[:, li] * block[:, lj], block[:, :n_low + 1].astype(complex),
-                     sigma + 1, sigma[:, hi] * sigma[:, hj] - 1, readout, forces)
+                     sigma + 1, sigma[:, hi] * sigma[:, hj] - 1, readout, means, forces)
     for arr in layout:
         arr.setflags(write=False)
     return layout
 
 
-def working_set_bytes(L: int, M: int) -> int:
-    """Estimated bytes that one SR iteration at (L, M) holds at once. Per
-    configuration: s_hat, tanh theta and log Psi, eight state vectors and
-    the CSR matrix of H (at most 2L flip masks per row, 12 bytes each). Per
-    row of one block: G and its running sum, t_hat and p conj(t_hat), the
-    low spin pairs and factors, and the fused kernel's real temporaries (x
-    and about 16 of hidden width)."""
+class _Buffers(NamedTuple):
+    """Arrays that one SR run at (L, M) allocates once and reuses in every
+    iteration; _buffer_shapes gives their shapes."""
+    lp: np.ndarray          # (2^L,) log Psi
+    t_hat: np.ndarray       # (M+1, 2^L) hidden factors [1, tanh theta], hidden-major
+    work: np.ndarray        # the fused kernel's real scratch
+    pt: np.ndarray          # (M+1, block rows) p conj(t_hat) of one block
+    g: np.ndarray           # (_g_rows(M), block rows) G of one block
+    g_sum: np.ndarray       # its running sum over the blocks
+    c: np.ndarray           # (low factors, _g_rows(M)) C_b of one block
+    low_high_b: np.ndarray  # (high sites, low factors, _g_rows(M)) weighted C_b
+    high_high_b: np.ndarray  # (high pairs, _g_rows(M)) weighted C_b[0]
+    moments: np.ndarray     # (2, moment rows, _g_rows(M)) [moments; conj(moments)]
+    s_mat: np.ndarray       # (n_var, n_var) <O*_k O_l>, then S
+    outer: np.ndarray       # (n_var, n_var) <O>^H <O>, then S^H
+
+
+def _buffer_shapes(L: int, M: int) -> dict:
+    """(shape, dtype) of each _Buffers field at (L, M). The moment rows
+    stack the low pairs, the (low factor, high site) slots and the high
+    pairs, as in _product_layout."""
     n_low = min(L, LOW_SITES)
-    per_row = 8 * (L + 1) + 16 * M + 16 + 8 * 16 + 2 * L * 12
-    per_block_row = (2 * 16 * _g_rows(M) + 2 * 16 * (M + 1) + 18 * 8 * (M + 1)
-                     + 8 * (1 + n_low * (n_low + 1) // 2) + 16 * (n_low + 1))
-    return (per_row << L) + per_block_row * min(1 << L, rbm.ROW_BLOCK)
+    n_high = L - n_low
+    n_rows = min(1 << L, rbm.ROW_BLOCK)
+    n_g = _g_rows(M)
+    n_var = L + M + L * M
+    n_high_pairs = n_high * (n_high - 1) // 2
+    n_moments = 1 + n_low * (n_low + 1) // 2 + (n_low + 1) * n_high + n_high_pairs
+    return {
+        "lp": ((1 << L,), complex),
+        "t_hat": ((M + 1, 1 << L), complex),
+        "work": (rbm.kernel_work_shape(M, 1 << L), float),
+        "pt": ((M + 1, n_rows), complex),
+        "g": ((n_g, n_rows), complex),
+        "g_sum": ((n_g, n_rows), complex),
+        "c": ((n_low + 1, n_g), complex),
+        "low_high_b": ((n_high, n_low + 1, n_g), complex),
+        "high_high_b": ((n_high_pairs, n_g), complex),
+        "moments": ((2, n_moments, n_g), complex),
+        "s_mat": ((n_var, n_var), complex),
+        "outer": ((n_var, n_var), complex),
+    }
+
+
+def _allocate_buffers(L: int, M: int) -> _Buffers:
+    bufs = _Buffers(**{name: np.zeros(shape, dtype)
+                       for name, (shape, dtype) in _buffer_shapes(L, M).items()})
+    bufs.t_hat[0] = 1
+    return bufs
+
+
+def working_set_bytes(L: int, M: int) -> int:
+    """Estimated bytes that an SR run at (L, M) holds at once: the buffers
+    of _buffer_shapes; per configuration s_hat, eight transient state
+    vectors and the CSR matrix of H (at most 2L flip masks per row, 12
+    bytes each); per row of one block the low spin pairs and factors; and
+    the copy of S + eps that the solve factorizes."""
+    n_low = min(L, LOW_SITES)
+    n_var = L + M + L * M
+    buffers = sum(np.dtype(dtype).itemsize * math.prod(shape)
+                  for shape, dtype in _buffer_shapes(L, M).values())
+    per_row = 8 * (L + 1) + 8 * 16 + 2 * L * 12
+    per_block_row = 8 * (1 + n_low * (n_low + 1) // 2) + 16 * (n_low + 1)
+    return (buffers + (per_row << L) + per_block_row * min(1 << L, rbm.ROW_BLOCK)
+            + 16 * n_var * n_var)
 
 
 def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _full_expectations(h: RotatedTfim, w: RbmParameters):
+def _full_expectations(h: RotatedTfim, w: RbmParameters, bufs: _Buffers):
     M = w.M
     lay = _product_layout(w.L, M)
-    lp, t = rbm.log_psi_and_tanh(w, lay.s_hat[:, 1:])
-    p, e_loc, energy, var = _born_energy(h, lp)
-    n_rows = len(lay.r_low)
-    t_hat = np.ones((M + 1, n_rows), dtype=complex)
-    pt = np.empty_like(t_hat)
-    g_sum = np.zeros((_g_rows(M), n_rows), dtype=complex)
-    g = np.zeros_like(g_sum)
-    n_low = lay.s_low.shape[1]
-    low_high = np.zeros((lay.high_weights.shape[1], n_low, len(g)), dtype=complex)
-    high_high = np.zeros((lay.pair_weights.shape[1], len(g)), dtype=complex)
+    t_hat, pt, g, g_sum, c = bufs.t_hat, bufs.pt, bufs.g, bufs.g_sum, bufs.c
+    rbm.log_psi_and_tanh_into(w, lay.s_hat[:, 1:], bufs.lp, t_hat[1:], bufs.work)
+    p, e_loc, energy, var = _born_energy(h, bufs.lp)
+    n_rows = g.shape[1]
+    moments, conj_moments = bufs.moments
+    n_low_pairs = lay.r_low.shape[1]
+    low = moments[:n_low_pairs]
+    n_high, n_low = bufs.low_high_b.shape[:2]   # high sites, low factors
+    low_high = moments[n_low_pairs:n_low_pairs + n_high * n_low].reshape(n_high, n_low, len(g))
+    high_high = moments[len(moments) - len(bufs.high_high_b):]
+    low_high[:] = 0
+    high_high[:] = 0
+    # G's padding rows, past the (M+1)(M+4)/2 filled ones, are zero in every
+    # block; the last call left the transposed sum there
+    g[(M + 1) * (M + 4) // 2:] = 0
     for b, lo in enumerate(range(0, len(p), n_rows)):   # fixed block order
         rows = slice(lo, lo + n_rows)
-        t_hat[1:] = t[rows].T
-        np.conjugate(t_hat, out=pt)
+        th = t_hat[:, rows]
+        np.conjugate(th, out=pt)
         pt *= p[rows]
         g_b = g if b else g_sum   # the first block goes straight into the sum
         col = 0
         for a in range(M + 1):   # the pairs (a, b >= a), in _pairs order
-            np.multiply(pt[a], t_hat[a:], out=g_b[col:col + M + 1 - a])
+            np.multiply(pt[a], th[a:], out=g_b[col:col + M + 1 - a])
             col += M + 1 - a
         np.multiply(pt, e_loc[rows], out=g_b[col:col + M + 1])
         if b:
             g_sum += g
-            c = lay.s_low.T @ g.T   # the low factors summed over the block
-            low_high += lay.high_weights[b, :, None, None] * c
-            high_high += lay.pair_weights[b, :, None] * c[0]
+            np.matmul(lay.s_low.T, g.T, out=c)   # the low factors summed over the block
+            low_high += np.multiply(lay.high_weights[b, :, None, None], c, out=bufs.low_high_b)
+            high_high += np.multiply(lay.pair_weights[b, :, None], c[0], out=bufs.high_high_b)
     g_sum_t = g.reshape(n_rows, -1)   # reuses G's memory
     g_sum_t[:] = g_sum.T
-    low = (lay.r_low.T @ g_sum_t.view(np.float64)).view(complex)
+    np.matmul(lay.r_low.T, g_sum_t.view(np.float64), out=low.view(np.float64))
     low_high -= low[:n_low]   # its first rows, (0, i), are s_low^T sum_b G_b
     high_high += low[0]
-    moments = np.concatenate([low, low_high.reshape(-1, len(g)), high_high])
-    x = np.take(np.concatenate([moments, moments.conj()]), lay.readout)
-    o_mean = x[0, 1:]
-    s_mat = x[1:, 1:] - np.outer(o_mean.conj(), o_mean)
-    s_mat += s_mat.conj().T
-    s_mat /= 2   # Hermitian bit for bit
-    f = np.take(moments, lay.forces) - energy * o_mean.conj()
+    np.conjugate(moments, out=conj_moments)
+    s_mat = bufs.moments.take(lay.readout, out=bufs.s_mat, mode="clip")
+    o_mean = moments.take(lay.means)
+    s_mat -= np.multiply(o_mean.conj()[:, None], o_mean, out=bufs.outer)
+    s_mat += np.conjugate(s_mat.T, out=bufs.outer)   # Hermitian bit for bit
+    s_planes = s_mat.view(np.float64)
+    s_planes *= 0.5
+    f = moments.take(lay.forces) - energy * o_mean.conj()
     return energy, var, f, s_mat
 
 
@@ -291,7 +364,7 @@ def expectations(h: RotatedTfim, w: RbmParameters):
     p(s) = |psi(s)|^2 / sum |psi|^2; S is Hermitian positive semidefinite
     by construction.
     """
-    energy, _, f, s_mat = _full_expectations(h, w)
+    energy, _, f, s_mat = _full_expectations(h, w, _allocate_buffers(w.L, w.M))
     return energy, f, s_mat
 
 
@@ -302,19 +375,22 @@ def energy_and_variance(h: RotatedTfim, w: RbmParameters):
 
 
 def solve_sr_system(s_mat: np.ndarray, f: np.ndarray, epsilon: float) -> np.ndarray:
-    """Solve (S + eps*1) d = f by LAPACK's zhesv (Bunch-Kaufman).
+    """Solve (S + eps*1) d = f by LAPACK's zhesv (Bunch-Kaufman), on one
+    copy of S with eps added to its diagonal.
 
     Raises RuntimeError if zhesv reports a singular matrix or the residual
-    exceeds SOLVE_RESIDUAL_TOL relative to max(|f|, 1).
+    is not within SOLVE_RESIDUAL_TOL relative to max(|f|, 1), which a NaN
+    or infinite entry never is.
     """
-    reg = s_mat + epsilon * np.eye(len(f))
-    _, _, delta, info = scipy.linalg.lapack.zhesv(reg, f[:, None])
+    reg = np.array(s_mat, dtype=complex, order="F")   # zhesv factorizes it in place
+    reg.flat[::len(f) + 1] += epsilon
+    _, _, delta, info = scipy.linalg.lapack.zhesv(reg, f[:, None], overwrite_a=True)
     if info != 0:
         raise RuntimeError(f"SR linear solve failed: zhesv info {info}")
     delta = delta[:, 0]
-    res = np.linalg.norm(reg @ delta - f)
+    res = np.linalg.norm(s_mat @ delta + epsilon * delta - f)
     scale = max(np.linalg.norm(f), 1.0)
-    if res > SOLVE_RESIDUAL_TOL * scale:
+    if not res <= SOLVE_RESIDUAL_TOL * scale:
         raise RuntimeError(f"SR linear solve residual {res:.2e} too large")
     return delta
 
@@ -334,13 +410,16 @@ def optimize(h: RotatedTfim, cfg: SrConfig, w0: RbmParameters | None = None) -> 
     with converged False and an abort_reason, on a non-finite energy,
     variance, force or S entry, on divergence, or on a failed solve.
     """
-    M = w0.M if w0 is not None else rbm.n_hidden(h.L, cfg.alpha)
-    need, limit = working_set_bytes(h.L, M), _physical_memory_bytes()
+    L = h.L
+    M = w0.M if w0 is not None else rbm.n_hidden(L, cfg.alpha)
+    need, limit = working_set_bytes(L, M), _physical_memory_bytes()
     if need > limit:
         raise MemoryError(
-            f"SR at L={h.L}, M={M} needs about {need:.3g} bytes, more than the "
+            f"SR at L={L}, M={M} needs about {need:.3g} bytes, more than the "
             f"{limit:.3g} bytes of physical memory")
-    w = w0 if w0 is not None else rbm.init_random(h.L, cfg.alpha, cfg.seed, cfg.init_scale)
+    bufs = _allocate_buffers(L, M)
+    w = w0 if w0 is not None else rbm.init_random(L, cfg.alpha, cfg.seed, cfg.init_scale)
+    vec = w.to_vector()   # w views it from the first step on
     energies = np.zeros(cfg.n_iter, dtype=complex)
     variances = np.zeros(cfg.n_iter)
     grad_norms = np.zeros(cfg.n_iter)
@@ -349,11 +428,11 @@ def optimize(h: RotatedTfim, cfg: SrConfig, w0: RbmParameters | None = None) -> 
     abort = None
     n_done = 0
     for it in range(cfg.n_iter):
-        energy, var, f, s_mat = _full_expectations(h, w)
+        energy, var, f, s_mat = _full_expectations(h, w, bufs)
         energies[it] = energy
         variances[it] = var
         grad_norms[it] = float(np.linalg.norm(f))
-        param_norms[it] = float(np.linalg.norm(w.to_vector()))
+        param_norms[it] = float(np.linalg.norm(vec))
         n_done = it + 1
         if not np.isfinite(energy):
             abort = f"non-finite energy at iteration {it}"
@@ -367,13 +446,16 @@ def optimize(h: RotatedTfim, cfg: SrConfig, w0: RbmParameters | None = None) -> 
             abort = f"divergence guard tripped at iteration {it}"
             break
         try:
-            w = sr_step(w, f, s_mat, cfg)
+            delta = solve_sr_system(s_mat, f, cfg.epsilon)
         except RuntimeError as err:
             abort = str(err)
             break
+        vec -= cfg.eta * delta
+        w = RbmParameters(vec[:L], vec[L:L + M], vec[L + M:].reshape(L, M))
     return OptimizationTrace(
         energies[:n_done], variances[:n_done], grad_norms[:n_done],
-        param_norms[:n_done], w, converged=abort is None, abort_reason=abort,
+        param_norms[:n_done], RbmParameters.from_vector(vec, L, M),
+        converged=abort is None, abort_reason=abort,
     )
 
 

@@ -108,6 +108,22 @@ def test_shipped_default_configs_exist_and_load():
             assert cfg.kind == kind
 
 
+def test_shipped_configs_load_alike_with_both_yaml_loaders(monkeypatch):
+    yaml = pytest.importorskip("yaml")
+    if not yaml.__with_libyaml__:
+        pytest.skip("PyYAML built without libyaml")
+    assert experiments.YAML_LOADER is yaml.CSafeLoader
+    paths = sorted(experiments.default_config_path("uniformity", "ci").parent.glob("*.yaml"))
+    assert len(paths) == 2 * len(KINDS)
+    loaded = {}
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(experiments, "YAML_LOADER", loader)
+        loaded[loader] = [experiments.load_config(path) for path in paths]
+    assert loaded[yaml.SafeLoader] == loaded[yaml.CSafeLoader]
+    # the same value types too (1 == 1.0, but the reprs differ)
+    assert list(map(repr, loaded[yaml.SafeLoader])) == list(map(repr, loaded[yaml.CSafeLoader]))
+
+
 def write_yaml(tmp_path, text):
     path = tmp_path / "cfg.yaml"
     path.write_text(text)

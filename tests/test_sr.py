@@ -1,5 +1,9 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +262,14 @@ def test_solve_sr_system_raises_on_singular_matrix():
         sr.solve_sr_system(-eps * np.eye(4, dtype=complex), np.ones(4, complex), eps)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_solve_sr_system_raises_on_a_non_finite_force(bad):
+    # the residual is then NaN, and NaN > tol is False
+    f = np.array([bad, 1, 2], dtype=complex)
+    with pytest.raises(RuntimeError, match="residual"):
+        sr.solve_sr_system(np.eye(3, dtype=complex), f, 1e-4)
+
+
 def test_single_step_decreases_energy(rng):
     h = RotatedTfim(3, 1.5, 0.0)
     w = random_params(rng, 3, scale=0.1)
@@ -304,7 +316,8 @@ def test_optimize_deterministic():
 def patch_expectations(monkeypatch, edit):
     """Pass every result of sr._full_expectations through edit."""
     real = sr._full_expectations
-    monkeypatch.setattr(sr, "_full_expectations", lambda h, w: edit(*real(h, w)))
+    monkeypatch.setattr(sr, "_full_expectations",
+                        lambda h, w, bufs: edit(*real(h, w, bufs)))
 
 
 def test_optimize_aborts_on_non_finite_s_matrix(monkeypatch):
@@ -349,6 +362,76 @@ def test_optimize_refuses_a_run_that_cannot_fit(monkeypatch):
     message = f"L=10, M=10 needs about {need:.3g} bytes, more than the 1e+06 bytes"
     with pytest.raises(MemoryError, match=re.escape(message)):
         sr.optimize(RotatedTfim(10, 1.0, 0.0), SrConfig(n_iter=1))
+
+
+# One call each: optimize for a few iterations, and expectations at fixed
+# parameters; M = 20 at L = 10 gives alpha = 2 and 230 parameters.
+REUSE_CALLS = [(kind, L, M) for L, M in ((6, 6), (10, 20), (12, 12))
+               for kind in ("optimize", "expectations")]
+
+
+def reuse_call(kind, L, M):
+    """Arrays from one optimize or expectations call at (L, M)."""
+    h = RotatedTfim(L, 1.5, 0.6)
+    if kind == "optimize":
+        trace = sr.optimize(h, SrConfig(eta=0.02, n_iter=4, seed=L + M, alpha=M / L))
+        return {"energies": trace.energies, "variances": trace.variances,
+                "grad_norms": trace.grad_norms, "params": trace.final_params.to_vector()}
+    w = rbm.init_random(L, M / L, seed=L * M, scale=0.3)
+    energy, f, s_mat = sr.expectations(h, w)
+    return {"energy": np.array([energy]), "f": f, "s_mat": s_mat}
+
+
+def fresh_process_call(tmp_path, kind, L, M):
+    """reuse_call as the first call of a fresh interpreter."""
+    out = tmp_path / f"{kind}-{L}-{M}.npz"
+    env = dict(os.environ)
+    src = str(Path(sr.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, numpy as np\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import test_sr\n"
+            "np.savez(sys.argv[2], **test_sr.reuse_call(sys.argv[3], int(sys.argv[4]),"
+            " int(sys.argv[5])))\n")
+    subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent), str(out),
+                    kind, str(L), str(M)], env=env, timeout=300, check=True)
+    with np.load(out) as saved:
+        return dict(saved)
+
+
+def test_buffer_reuse_leaks_nothing_between_runs_or_shapes(tmp_path):
+    fresh = {call: fresh_process_call(tmp_path, *call) for call in REUSE_CALLS}
+    # the shapes alternate, each run after runs and calls of other shapes
+    for call in REUSE_CALLS[::-1] + REUSE_CALLS:
+        got = reuse_call(*call)
+        assert got.keys() == fresh[call].keys()
+        for name in got:
+            assert np.array_equal(got[name], fresh[call][name]), (call, name)
+    L, M = 12, 12
+    lp, t = rbm.log_psi_and_tanh(rbm.init_random(L, 1.0, seed=1), hilbert.all_spins(L))
+    assert lp.shape == (2**L,) and t.shape == (2**L, M)
+
+
+def test_iterations_of_one_run_leave_nothing_to_the_next(monkeypatch):
+    # every iteration after the first, whose buffers were used before,
+    # against a fresh set of buffers at the same parameters
+    h = RotatedTfim(12, 1.5, 0.6)
+    seen = []
+    real = sr._full_expectations
+
+    def recording(h, w, bufs):
+        energy, var, f, s_mat = real(h, w, bufs)
+        seen.append((w.to_vector(), energy, f.copy(), s_mat.copy()))
+        return energy, var, f, s_mat
+
+    monkeypatch.setattr(sr, "_full_expectations", recording)
+    sr.optimize(h, SrConfig(eta=0.02, n_iter=4, seed=5))
+    monkeypatch.undo()
+    assert len(seen) == 4
+    for vec, energy, f, s_mat in seen[1:]:
+        e_ref, f_ref, s_ref = sr.expectations(h, RbmParameters.from_vector(vec, 12, 12))
+        assert energy == e_ref
+        assert np.array_equal(f, f_ref) and np.array_equal(s_mat, s_ref)
 
 
 def test_config_validation():
