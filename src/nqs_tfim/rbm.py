@@ -8,7 +8,7 @@ the SR matrix indexing relies on this order.
 log Psi and tanh theta, theta = s W + b, come from one fused kernel,
 log_psi_and_tanh_into: per block of ROW_BLOCK configurations it forms
 theta^T = coef^T s^T by one real product and works in place on (M, block)
-real rows of a caller's scratch, so it allocates nothing of block size.
+real rows of a caller's workspace, so it allocates nothing of block size.
 It writes tanh theta hidden-major, (M, n), the layout the SR moment build
 reads row by row; log_psi_and_tanh returns it as an (n, M) transposed
 view.
@@ -83,7 +83,7 @@ def init_random(L: int, alpha: float, seed: int, scale: float = DEFAULT_INIT_SCA
 
 
 def kernel_work_shape(M: int, n: int) -> tuple:
-    """Shape of the real scratch of log_psi_and_tanh_into for n rows and M
+    """Shape of the real workspace of log_psi_and_tanh_into for n rows and M
     hidden units: the (2M+2)-row product block and seven (M, block)
     temporaries."""
     return (9 * M + 2, min(n, ROW_BLOCK))

@@ -49,7 +49,7 @@ unblocked zhesv, on one copy of S + eps.
 
 optimize checks working_set_bytes against physical memory, then allocates
 one set of buffers (_Buffers: log Psi and t_hat for all configurations,
-the kernel's scratch, G and its sum, the moment slots, S and the outer
+the kernel's workspace, G and its sum, the moment slots, S and the outer
 product) and reuses it in every iteration, so an iteration allocates no
 array of block or n_var^2 size other than that copy of S; the state
 vectors of _born_energy (psi, p, E_loc) are still allocated per iteration.
@@ -242,7 +242,7 @@ class _Buffers(NamedTuple):
     iteration; _buffer_shapes gives their shapes."""
     lp: np.ndarray          # (2^L,) log Psi
     t_hat: np.ndarray       # (M+1, 2^L) hidden factors [1, tanh theta], hidden-major
-    work: np.ndarray        # the fused kernel's real scratch
+    work: np.ndarray        # the fused kernel's real workspace
     pt: np.ndarray          # (M+1, block rows) p conj(t_hat) of one block
     g: np.ndarray           # (_g_rows(M), block rows) G of one block
     g_sum: np.ndarray       # its running sum over the blocks
@@ -348,11 +348,12 @@ def _full_expectations(h: RotatedTfim, w: RbmParameters, bufs: _Buffers):
     low_high -= low[:n_low]   # its first rows, (0, i), are s_low^T sum_b G_b
     high_high += low[0]
     np.conjugate(moments, out=conj_moments)
+    # mode "clip" writes straight into out; "raise" would buffer the result
     s_mat = bufs.moments.take(lay.readout, out=bufs.s_mat, mode="clip")
     o_mean = moments.take(lay.means)
     s_mat -= np.multiply(o_mean.conj()[:, None], o_mean, out=bufs.outer)
     s_mat += np.conjugate(s_mat.T, out=bufs.outer)   # Hermitian bit for bit
-    s_planes = s_mat.view(np.float64)
+    s_planes = s_mat.view(np.float64)   # halved on the real and imaginary planes
     s_planes *= 0.5
     f = moments.take(lay.forces) - energy * o_mean.conj()
     return energy, var, f, s_mat
