@@ -10,10 +10,16 @@ and an LP64 build), and both are set.
 A BLAS thread variable set by the user wins: OpenBLAS already applied it
 when it loaded, so nothing is changed then. Without /proc or without
 OpenBLAS this does nothing.
+
+The libraries are looked up once per process, when the package is imported
+(after it has imported numpy and scipy); an OpenBLAS loaded later is not
+seen. Thread counts are read afresh on every `thread_counts` call.
 """
 
 import ctypes
+import functools
 import os
+import types
 
 _USER_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _SYMBOLS = (   # (setter, getter) for scipy's bundled builds and plain OpenBLAS
@@ -24,15 +30,17 @@ _SYMBOLS = (   # (setter, getter) for scipy's bundled builds and plain OpenBLAS
 )
 
 
-def openblas_libraries() -> dict:
-    """{file name: (setter, getter)} for each OpenBLAS already mapped into
-    this process, found through /proc/self/maps; never loads a library."""
+@functools.cache
+def openblas_libraries() -> types.MappingProxyType:
+    """{file name: (setter, getter)} for each OpenBLAS mapped into this
+    process at the first call, found through /proc/self/maps; never loads a
+    library. Later calls return the same read-only mapping."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh
                             if "openblas" in line.rsplit("/", 1)[-1].lower()})
     except OSError:
-        return {}
+        return types.MappingProxyType({})
     out = {}
     for path in paths:
         try:
@@ -46,7 +54,12 @@ def openblas_libraries() -> dict:
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 out[os.path.basename(path)] = (setter, getter)
                 break
-    return out
+    return types.MappingProxyType(out)
+
+
+def thread_counts() -> dict:
+    """{file name: current thread count} of each OpenBLAS found."""
+    return {name: get() for name, (_, get) in openblas_libraries().items()}
 
 
 def pin_single_thread() -> None:

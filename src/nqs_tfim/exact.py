@@ -1,17 +1,27 @@
-"""Exact diagonalization, state-vector metrics and sign diagnostics."""
+"""Exact diagonalization, state-vector metrics and sign diagnostics.
+
+`ground_states` solves the even and odd parity blocks of H(0), each of
+size 2^(L-1), and rotates the eigenvectors to H(theta). A block is solved
+densely for L <= DENSE_SOLVE_MAX_SITES and by `lanczos` above that, up to
+SOLVER_MAX_SITES: a three-term Lanczos recurrence with a thick restart that
+holds at most LANCZOS_BASIS vectors, and deflation for more than one level.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
+from scipy.linalg.blas import daxpy
+from scipy.linalg.lapack import dsyevr
 
 from . import hamiltonian
 from .hamiltonian import RotatedTfim
 
 DENSE_SOLVE_MAX_SITES = 9
 SOLVER_MAX_SITES = 16
-LANCZOS_NCV = 16
+LANCZOS_BASIS = 24
+LANCZOS_MAX_STEPS = 5000
+LANCZOS_TOL = 1e-12
 EIG_RESIDUAL_TOL = 1e-8
 NEAR_DEGENERACY_REL = 1e-6
 REAL_STATE_TOL = 1e-8
@@ -61,18 +71,17 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     H(theta) = V H(0) V^T (`hamiltonian.rotate`), and H(0) splits into an
     even and an odd block of size 2^(L-1) (`RotatedTfim.parity_sectors`).
     Each block is solved by a dense symmetric solve for L <= 9 and by
-    Lanczos (scipy eigsh, LANCZOS_NCV Lanczos vectors) for 9 < L <= 16;
-    the Lanczos start vector is seeded, so repeated calls return
-    bit-identical states. For k <= 2 each block gives its lowest eigenpair:
-    the two lowest levels of the open chain are the two sector minima, since
-    the first excitation flips one fermion and with it the parity. For k > 2
-    each block gives its k lowest. The levels are merged by energy (even
-    first on an exact tie), embedded as (u, +-u reversed), rotated by
-    V(theta), normalized and phase-fixed, and each is checked against
-    H(theta) by its residual. In the (near-)degenerate ferromagnet the two
-    states are therefore parity eigenstates, not a rounding-dependent mix.
-    k must lie in [1, 2^L], and below 2^(L-1) where Lanczos is used
-    (k <= 511 at L = 10).
+    `lanczos` for 9 < L <= 16, whose start vector is seeded, so repeated
+    calls return bit-identical states. For k <= 2 each block gives its
+    lowest eigenpair: the two lowest levels of the open chain are the two
+    sector minima, since the first excitation flips one fermion and with it
+    the parity. For k > 2 each block gives its k lowest. The levels are
+    merged by energy (even first on an exact tie), embedded as
+    (u, +-u reversed), rotated by V(theta), normalized and phase-fixed, and
+    each is checked against H(theta) by its residual. In the
+    (near-)degenerate ferromagnet the two states are therefore parity
+    eigenstates, not a rounding-dependent mix. k must lie in [1, 2^L], and
+    below 2^(L-1) where Lanczos is used (k <= 511 at L = 10).
     """
     if h.L > SOLVER_MAX_SITES:
         raise ValueError(f"exact solver refused for L={h.L} > {SOLVER_MAX_SITES}")
@@ -84,15 +93,12 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     per_sector = min(1 if k <= 2 else k, half)
 
     energies, vecs = [], []
-    for sign, block in zip((1.0, -1.0), h.parity_sectors):
+    for sign, parity, block in zip((1.0, -1.0), ("even", "odd"), h.parity_sectors):
         if dense:
             e, u = scipy.linalg.eigh(block.toarray(), subset_by_index=[0, per_sector - 1])
         else:
-            v0 = np.random.default_rng(0).standard_normal(half)
-            e, u = scipy.sparse.linalg.eigsh(
-                block, k=per_sector, which="SA", tol=1e-12, maxiter=5000,
-                ncv=min(half, max(LANCZOS_NCV, 2 * per_sector + 1)), v0=v0,
-            )
+            e, u = lanczos(block, per_sector,
+                           f"L={h.L}, lambda={h.lam:g}, {parity} parity block")
         energies.append(e)
         vecs.append(np.concatenate([u, sign * u[::-1]]))
     energies, vecs = np.concatenate(energies), np.concatenate(vecs, axis=1)
@@ -109,6 +115,82 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
             )
         states[:, j] = v
     return SpectrumSummary(np.asarray(energies, dtype=float), states, h.L, h.lam, h.theta)
+
+
+def lanczos(block, n_low: int, name: str):
+    """(energies, vectors): the n_low lowest eigenpairs of the real
+    symmetric matrix `block`, one column of `vectors` per energy.
+
+    The pairs are found one at a time, each by its own run of the
+    three-term Lanczos recurrence (Lanczos, J. Res. NBS 45, 255 (1950))
+    from one start vector drawn from a generator seeded with 0. Each new
+    Lanczos vector is orthogonalized against the eigenvectors already
+    found, so a run sees the matrix deflated by them, and against nothing
+    else. The basis holds at most LANCZOS_BASIS vectors; when it is full,
+    the run keeps its LANCZOS_BASIS // 4 lowest Ritz vectors and goes on
+    from the residual (thick restart; Wu & Simon, SIAM J. Matrix Anal.
+    Appl. 22, 602 (2000)). Each time the basis has grown by that many
+    vectors, the lowest Ritz pair (theta, y) is tested, and it is taken
+    when its residual ||block y - theta y|| = beta |s_last| is at most
+    LANCZOS_TOL * max(|theta|, eps^(2/3)), the rule of ARPACK. A run that
+    takes more than LANCZOS_MAX_STEPS steps raises RuntimeError, naming
+    the block by `name`.
+    """
+    n = block.shape[0]
+    keep = LANCZOS_BASIS // 4
+    floor = np.finfo(float).eps ** (2 / 3)
+    start = np.random.default_rng(0).standard_normal(n)
+    found, energies = np.empty((n_low, n)), np.empty(n_low)
+    basis = np.empty((LANCZOS_BASIS + 1, n))
+    t = np.empty((LANCZOS_BASIS, LANCZOS_BASIS))   # basis^T block basis
+    for i in range(n_low):
+        locked = found[:i]
+        v = start - (locked @ start) @ locked
+        basis[0] = v / np.linalg.norm(v)
+        t[:] = 0.0
+        j = kept = 0
+        for _ in range(LANCZOS_MAX_STEPS):
+            w = block @ basis[j]
+            if j > kept:
+                daxpy(basis[j - 1], w, a=-beta)    # in place in w
+            elif kept:                              # first step after a restart
+                w -= t[j, :j] @ basis[:j]
+            alpha = basis[j] @ w
+            daxpy(basis[j], w, a=-alpha)
+            if i:
+                w -= (locked @ w) @ locked
+            beta = np.linalg.norm(w)
+            t[j, j] = alpha
+            j += 1
+            restart = j == LANCZOS_BASIS
+            if restart or j % keep == 0 or beta == 0.0:
+                theta, s = _lowest_eigenpairs(t[:j, :j], keep if restart else 1)
+                if beta * abs(s[-1, 0]) <= LANCZOS_TOL * max(abs(theta[0]), floor):
+                    break
+                if restart:                         # keep the lowest Ritz vectors
+                    basis[:keep] = s.T @ basis[:j]
+                    t[:] = 0.0
+                    t[range(keep), range(keep)] = theta
+                    t[keep, :keep] = t[:keep, keep] = beta * s[-1]
+                    j = kept = keep
+            if j > kept:
+                t[j, j - 1] = t[j - 1, j] = beta
+            np.divide(w, beta, out=basis[j])
+        else:
+            raise RuntimeError(f"Lanczos did not converge in {LANCZOS_MAX_STEPS} steps "
+                               f"for the {name}")
+        y = s[:, 0] @ basis[:j]
+        found[i], energies[i] = y / np.linalg.norm(y), theta[0]
+    return energies, found.T
+
+
+def _lowest_eigenpairs(t: np.ndarray, count: int):
+    """The `count` lowest eigenvalues of the symmetric t and their vectors,
+    by LAPACK dsyevr, called directly since it runs once every few steps."""
+    theta, s, _, _, info = dsyevr(t, range="I", il=1, iu=count)
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+    return theta[:count], s
 
 
 def sign_average(psi: np.ndarray, tol: float = REAL_STATE_TOL) -> float:

@@ -186,7 +186,8 @@ def write_csv(path: Path, header, rows):
 
 
 def _write_sorted_probabilities(path: Path, psi):
-    """The `rank, probability, sign` table of psi's Born weights, largest first."""
+    """The `rank, probability, sign` table of psi's Born weights in ascending
+    order: rank 0 is the smallest (`exact.sorted_probabilities`)."""
     return write_csv(path, ["rank", "probability", "sign"],
                      [[rank, prob, sign] for rank, (prob, sign)
                       in enumerate(exact.sorted_probabilities(psi))])
@@ -199,8 +200,7 @@ class ResultIndex:
         self.out_dir = Path(out_dir)
         self.path = self.out_dir / "index.json"
         self.records = []
-        self.blas_threads = {name: get() for name, (_, get)
-                             in _blas.openblas_libraries().items()}
+        self.blas_threads = _blas.thread_counts()
         if self.path.exists():
             self.records = json.loads(self.path.read_text())
 

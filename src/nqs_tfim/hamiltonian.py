@@ -10,15 +10,16 @@ then equals coeff * prod_{i in A} s_i.
 Every routine that applies H to a full vector reads one scipy.sparse CSR
 matrix, built on first use and cached on the instance. Row s holds one
 entry per flip mask B, at column s ^ B: the sum over the terms with that
-mask of coeff * prod_{i in A} s_i. `row` works from the term list directly
-and serves as the independent oracle.
+mask of coeff * prod_{i in A} s_i (`_mask_table`). `row` works from the
+term list directly and serves as the independent oracle.
 
 Every H(theta) is a site-by-site real rotation of the unrotated chain,
 H(theta) = V H(0) V^T with V = prod_i R_i(theta/2) (`rotate`), and H(0)
 commutes with the parity prod_i X_i, which maps x to its complement ~x.
 `RotatedTfim.parity_sectors` gives the two blocks of H(0) in the basis
-(|x> +- |~x>)/sqrt(2), x < 2^(L-1), cut from the CSR matrix of H(0); exact
-diagonalization solves them and rotates the eigenvectors back.
+(|x> +- |~x>)/sqrt(2), x < 2^(L-1), built by `_mask_table` from H(0)'s
+term list for the rows x < 2^(L-1) only, so no full-size matrix of H(0) is
+formed; exact diagonalization solves them and rotates the eigenvectors back.
 """
 
 from dataclasses import dataclass, field
@@ -52,52 +53,62 @@ class RotatedTfim:
     def elements(self) -> scipy.sparse.csr_array:
         """H as a CSR matrix with one entry per flip mask in every row.
 
-        Masks are stored in ascending order; an entry is the sum of its
-        mask's terms, added in `terms` order starting from 0.0. A term's
-        sign is the product of the +-1 spin columns of the sites in its
-        z-mask, formed once as int8. Takes n_masks * 2^L * 12 bytes.
+        Masks are stored in ascending order; the entries are those of
+        `_mask_table`. Takes n_masks * 2^L * 12 bytes.
         """
         idx = np.arange(self.dim, dtype=np.int32)
-        masks = sorted({x_mask for x_mask, _, _ in self.terms})
-        column = {x_mask: k for k, x_mask in enumerate(masks)}
-        spins = [(2 * ((idx >> i) & 1) - 1).astype(np.int8) for i in range(self.L)]
-        data = np.zeros((self.dim, len(masks)))
-        for x_mask, z_mask, coeff in self.terms:
-            sign = np.ones(self.dim, dtype=np.int8)
-            for i in range(self.L):
-                if z_mask >> i & 1:
-                    sign *= spins[i]
-            data[:, column[x_mask]] += coeff * sign
-        indices = idx[:, None] ^ np.array(masks, dtype=np.int32)
+        masks, data = _mask_table(self.terms, self.L, idx)
         indptr = np.arange(self.dim + 1, dtype=np.int32) * len(masks)
         return scipy.sparse.csr_array(
-            (data.ravel(), indices.ravel(), indptr), shape=(self.dim, self.dim)
-        )
+            (data.ravel(), (idx[:, None] ^ masks).ravel(), indptr),
+            shape=(self.dim, self.dim))
 
     @cached_property
     def parity_sectors(self) -> tuple:
         """(even, odd) blocks of H(0) on the parity basis (|x> +- |~x>)/sqrt(2).
 
-        x runs over [0, 2^(L-1)) and ~x = x ^ (2^L - 1). With A the rows and
-        columns x < 2^(L-1) of the CSR matrix of RotatedTfim(L, lam, 0), and
-        B the same rows' upper-half columns in reversed order, so that
-        B[x, y] = H(0)[x, ~y], the blocks are A + B and A - B: parity
-        symmetry gives H(0)[~x, ~y] = H(0)[x, y]. Does not depend on theta.
+        x runs over [0, 2^(L-1)) and ~x = x ^ (2^L - 1). The rows x of H(0)
+        are built from its term list by `_mask_table`, as `elements` builds
+        them, and nothing else of H(0) is formed. With A the columns
+        y < 2^(L-1) of those rows and B[x, y] = H(0)[x, ~y] the others, the
+        blocks are A + B and A - B: parity symmetry gives
+        H(0)[~x, ~y] = H(0)[x, y]. An entry at column c >= 2^(L-1) goes to
+        column ~c. Each row keeps one entry per flip mask, so for L <= 2,
+        where A and B share a column, that column holds two entries, which
+        every product of the CSR matrix adds. Does not depend on theta.
         """
-        h0 = self if self.theta == 0 else RotatedTfim(self.L, self.lam, 0.0)
-        m, half = h0.elements, self.dim // 2
-        rows = m.indptr[: half + 1]                       # the rows x < 2^(L-1)
-        cols, data = m.indices[: rows[-1]], m.data[: rows[-1]]
-        in_b = cols >= half                               # entry of B at column ~col
-        cols = np.where(in_b, self.dim - 1 - cols, cols)
-        blocks = []
-        for sign in (1.0, -1.0):                          # A + B, A - B
-            block = scipy.sparse.csr_array(
-                (np.where(in_b, sign * data, data), cols.copy(), rows.copy()),
-                shape=(half, half))
-            block.sum_duplicates()   # in place, hence the copies; A, B overlap for L <= 2
-            blocks.append(block)
-        return tuple(blocks)
+        half = self.dim // 2
+        rows = np.arange(half, dtype=np.int32)
+        masks, data = _mask_table(_build_terms(self.L, self.lam, 0.0), self.L, rows)
+        cols = rows[:, None] ^ masks
+        in_b = cols >= half
+        cols = np.where(in_b, self.dim - 1 - cols, cols).ravel()
+        indptr = np.arange(half + 1, dtype=np.int32) * len(masks)
+        return tuple(   # A + B, A - B; own index arrays, as scipy may sort them in place
+            scipy.sparse.csr_array((np.where(in_b, sign * data, data).ravel(),
+                                    cols.copy(), indptr.copy()), shape=(half, half))
+            for sign in (1.0, -1.0))
+
+
+def _mask_table(terms, L, rows):
+    """(masks, data): the ascending flip masks of `terms`, as int32, and
+    data[r, k], the entry of row rows[r] at column rows[r] ^ masks[k].
+
+    An entry is the sum of its mask's terms, added in `terms` order starting
+    from 0.0. A term's sign is the product of the +-1 spin columns of the
+    sites in its z-mask, formed once as int8.
+    """
+    masks = sorted({x_mask for x_mask, _, _ in terms})
+    column = {x_mask: k for k, x_mask in enumerate(masks)}
+    spins = [(2 * ((rows >> i) & 1) - 1).astype(np.int8) for i in range(L)]
+    data = np.zeros((len(rows), len(masks)))
+    for x_mask, z_mask, coeff in terms:
+        sign = np.ones(len(rows), dtype=np.int8)
+        for i in range(L):
+            if z_mask >> i & 1:
+                sign *= spins[i]
+        data[:, column[x_mask]] += coeff * sign
+    return np.array(masks, dtype=np.int32), data
 
 
 def _build_terms(L, lam, theta):

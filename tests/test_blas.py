@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import nqs_tfim
-from nqs_tfim import _blas, rbm, sr
+from nqs_tfim import _blas, experiments, rbm, sr
 from nqs_tfim.hamiltonian import RotatedTfim
 
 BLAS_THREAD_VARS = (
@@ -85,3 +86,30 @@ def test_sr_energies_do_not_depend_on_thread_count_over_several_blocks():
         for name, (setter, _) in libs.items():
             setter(before[name])
     assert np.array_equal(energies[1], energies[2])
+
+
+def test_result_index_reads_thread_counts_without_probing_again(tmp_path, monkeypatch):
+    libs = _blas.openblas_libraries()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded in this environment")
+    experiments.ResultIndex(tmp_path)
+    opened, loaded = [], []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: loaded.append(args))
+    before = _blas.thread_counts()
+    try:
+        for setter, _ in libs.values():
+            setter(2)
+        index = experiments.ResultIndex(tmp_path)
+    finally:
+        for name, (setter, _) in libs.items():
+            setter(before[name])
+    assert "/proc/self/maps" not in opened
+    assert loaded == []
+    assert index.blas_threads == {name: 2 for name in libs}

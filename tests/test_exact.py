@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from nqs_tfim import exact, hamiltonian
 from nqs_tfim.hamiltonian import RotatedTfim
@@ -54,6 +57,63 @@ def test_dense_and_lanczos_paths_agree(monkeypatch, L, lam, theta):
     assert np.max(np.abs(dense.energies - lanczos.energies)) < 1e-10
     for j in range(2):
         assert exact.infidelity(dense.states[:, j], lanczos.states[:, j]) < 1e-10
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("lam", [-0.7, 0.1, 1.0, 1.5])
+@pytest.mark.parametrize("L", [10, 11])
+def test_lanczos_matches_dense_solve_for_several_levels(monkeypatch, L, lam, theta):
+    # at lam < 0 an all-ones start vector is orthogonal to a block's ground
+    # state, so the seeded random start is what finds it
+    h = RotatedTfim(L, lam, theta)
+    monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", exact.SOLVER_MAX_SITES)
+    dense = exact.ground_states(h, k=6)
+    monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", 0)
+    for k in (1, 2, 4, 6):
+        lanczos = exact.ground_states(h, k=k)
+        assert np.max(np.abs(lanczos.energies - dense.energies[:k])) < 1e-10, k
+        for j in range(k):
+            assert exact.infidelity(dense.states[:, j], lanczos.states[:, j]) < 1e-10, (k, j)
+
+
+def test_lanczos_start_vector_reaches_below_the_all_ones_vector():
+    # minus a graph Laplacian on 256 vertices: the all-ones vector is an
+    # eigenvector at the top of the spectrum, exactly so in floating point
+    # (0/1 edges, 1/sqrt(256) = 1/16), so a Lanczos run started from it
+    # stops at once with a zero residual at energy 0
+    rng = np.random.default_rng(5)
+    edges = scipy.sparse.random(256, 256, density=0.03, random_state=rng)
+    edges = ((edges + edges.T) > 0).astype(float)
+    edges.setdiag(0.0)
+    m = (edges - scipy.sparse.diags(np.asarray(edges.sum(axis=1)).ravel())).tocsr()
+    assert not np.any(m @ np.full(256, 1 / 16))
+    energies, _ = exact.lanczos(m, 1, "test matrix")
+    assert abs(energies[0] - np.linalg.eigvalsh(m.toarray())[0]) < 1e-10
+
+
+def test_lanczos_refuses_to_run_past_its_step_cap(monkeypatch):
+    monkeypatch.setattr(exact, "LANCZOS_MAX_STEPS", 5)
+    with pytest.raises(RuntimeError, match="in 5 steps for the L=10, lambda=1.5, even parity block"):
+        exact.ground_states(RotatedTfim(10, 1.5, 0.3))
+
+
+def test_call_at_nonzero_theta_builds_only_the_matrix_of_h(monkeypatch):
+    # the blocks of H(0) come from its term list; the one CSR matrix built
+    # is H(theta)'s, for the residual check
+    built = []
+    build = RotatedTfim.elements.func
+
+    def counting_build(h):
+        built.append(h.theta)
+        return build(h)
+
+    elements = functools.cached_property(counting_build)
+    elements.__set_name__(RotatedTfim, "elements")
+    monkeypatch.setattr(RotatedTfim, "elements", elements)
+    for L in (6, 10):
+        built.clear()
+        exact.ground_states(RotatedTfim(L, 1.5, 0.3))
+        assert built == [0.3]
 
 
 def test_gap_shrinks_in_broken_phase():

@@ -249,6 +249,20 @@ def test_degeneracy_runner(tmp_path):
     assert any(p.name.startswith("sorted_probs_") for p in tmp_path.iterdir())
 
 
+def test_sorted_probabilities_csv_is_ascending(tmp_path):
+    # rank 0 is the smallest Born weight, the last rank the largest
+    cfg = tiny_config("degeneracy", tmp_path, lam=[0.5],
+                      theta=[0.25 * np.pi], n_iter=40)
+    assert experiments.run_degeneracy_study(cfg) == 0
+    (path,) = tmp_path.glob("sorted_probs_*.csv")
+    rows = read_csv(path)
+    assert rows[0] == ["rank", "probability", "sign"]
+    assert [int(r[0]) for r in rows[1:]] == list(range(2**3))
+    probs = [float(r[1]) for r in rows[1:]]
+    assert probs == sorted(probs)
+    assert probs[0] < probs[-1]
+
+
 def test_pi_compare_runner(tmp_path):
     cfg = tiny_config("pi-compare", tmp_path, n_iter=60)
     assert experiments.run_pi_rotation_compare(cfg) == 0

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from nqs_tfim import exact, hamiltonian, hilbert, sr
 from nqs_tfim.hamiltonian import RotatedTfim
@@ -340,7 +341,11 @@ def test_parity_sectors_are_cached_per_instance():
 
 @pytest.mark.parametrize("L", [1, 2, 3, 6])
 def test_parity_sectors_leave_the_matrix_of_h_alone(L):
-    # at theta = 0 the blocks are cut from h's own cached matrix
+    # the blocks are built from the term list: h's matrix is neither built
+    # nor changed
+    h = RotatedTfim(L, 0.9, 0.0)
+    h.parity_sectors
+    assert "elements" not in vars(h)
     h = RotatedTfim(L, 0.9, 0.0)
     m = h.elements
     before = [a.copy() for a in (m.indptr, m.indices, m.data)]
@@ -348,3 +353,31 @@ def test_parity_sectors_leave_the_matrix_of_h_alone(L):
     assert h.elements is m
     for a, b in zip(before, (m.indptr, m.indices, m.data)):
         assert np.array_equal(a, b)
+
+
+def parity_sectors_cut_from_h0(L, lam):
+    """The blocks as cut from the rows x < 2^(L-1) of the full CSR matrix
+    of H(0), summed and sorted (oracle)."""
+    m, half = RotatedTfim(L, lam, 0.0).elements, 1 << (L - 1)
+    rows = m.indptr[: half + 1]
+    cols, data = m.indices[: rows[-1]], m.data[: rows[-1]]
+    in_b = cols >= half
+    cols = np.where(in_b, 2 * half - 1 - cols, cols)
+    blocks = []
+    for sign in (1.0, -1.0):
+        block = scipy.sparse.csr_array(
+            (np.where(in_b, sign * data, data), cols.copy(), rows.copy()), shape=(half, half))
+        block.sum_duplicates()
+        blocks.append(block)
+    return blocks
+
+
+@pytest.mark.parametrize("L", range(1, 13))
+def test_half_size_blocks_are_bit_identical_to_the_cut_from_h0(L):
+    for lam in (-0.7, 0.0, 0.9):
+        for theta in (0.0, 0.3):
+            new = RotatedTfim(L, lam, theta).parity_sectors
+            for got, want in zip(new, parity_sectors_cut_from_h0(L, lam)):
+                got, want = got.toarray(), want.toarray()
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
