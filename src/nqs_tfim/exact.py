@@ -2,7 +2,7 @@
 
 `ground_states` solves the even and odd parity blocks of H(0), each of
 size 2^(L-1), and rotates the eigenvectors to H(theta). A block is solved
-densely for L <= DENSE_SOLVE_MAX_SITES and by `lanczos` above that, up to
+densely for L <= DENSE_SOLVE_MAX_SITES and by `_lanczos` above that, up to
 SOLVER_MAX_SITES: a three-term Lanczos recurrence with a thick restart that
 holds at most LANCZOS_BASIS vectors, and deflation for more than one level.
 """
@@ -71,7 +71,7 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     H(theta) = V H(0) V^T (`hamiltonian.rotate`), and H(0) splits into an
     even and an odd block of size 2^(L-1) (`RotatedTfim.parity_sectors`).
     Each block is solved by a dense symmetric solve for L <= 9 and by
-    `lanczos` for 9 < L <= 16, whose start vector is seeded, so repeated
+    `_lanczos` for 9 < L <= 16, whose start vector is seeded, so repeated
     calls return bit-identical states. For k <= 2 each block gives its
     lowest eigenpair: the two lowest levels of the open chain are the two
     sector minima, since the first excitation flips one fermion and with it
@@ -97,8 +97,8 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
         if dense:
             e, u = scipy.linalg.eigh(block.toarray(), subset_by_index=[0, per_sector - 1])
         else:
-            e, u = lanczos(block, per_sector,
-                           f"L={h.L}, lambda={h.lam:g}, {parity} parity block")
+            e, u = _lanczos(block, per_sector,
+                            f"L={h.L}, lambda={h.lam:g}, {parity} parity block")
         energies.append(e)
         vecs.append(np.concatenate([u, sign * u[::-1]]))
     energies, vecs = np.concatenate(energies), np.concatenate(vecs, axis=1)
@@ -117,7 +117,7 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     return SpectrumSummary(np.asarray(energies, dtype=float), states, h.L, h.lam, h.theta)
 
 
-def lanczos(block, n_low: int, name: str):
+def _lanczos(block, n_low: int, name: str):
     """(energies, vectors): the n_low lowest eigenpairs of the real
     symmetric matrix `block`, one column of `vectors` per energy.
 

@@ -87,7 +87,7 @@ def test_lanczos_start_vector_reaches_below_the_all_ones_vector():
     edges.setdiag(0.0)
     m = (edges - scipy.sparse.diags(np.asarray(edges.sum(axis=1)).ravel())).tocsr()
     assert not np.any(m @ np.full(256, 1 / 16))
-    energies, _ = exact.lanczos(m, 1, "test matrix")
+    energies, _ = exact._lanczos(m, 1, "test matrix")
     assert abs(energies[0] - np.linalg.eigvalsh(m.toarray())[0]) < 1e-10
 
 
