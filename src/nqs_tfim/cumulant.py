@@ -72,11 +72,11 @@ class CumulantCoefficients:
             raise ValueError("coefficient vector length must be 2^L")
 
 
-def cumulant_coefficients(psi: np.ndarray, floor: float = AMPLITUDE_FLOOR) -> CumulantCoefficients:
+def cumulant_coefficients(psi: np.ndarray) -> CumulantCoefficients:
     """Expansion coefficients of log Psi for a phase-fixed state.
 
-    Amplitudes below `floor` in magnitude are clamped before the log, so
-    states with exact zeros give regularization-dependent results.
+    Amplitudes below AMPLITUDE_FLOOR in magnitude are clamped before the
+    log, so states with exact zeros give regularization-dependent results.
     """
     psi = np.asarray(psi, dtype=complex)
     n = psi.size
@@ -84,9 +84,9 @@ def cumulant_coefficients(psi: np.ndarray, floor: float = AMPLITUDE_FLOOR) -> Cu
     if n != 1 << L:
         raise ValueError("state length is not a power of two")
     mags = np.abs(psi)
-    if np.all(mags < floor):
+    if np.all(mags < AMPLITUDE_FLOOR):
         raise ValueError("all amplitudes below the clamp floor")
-    log_amp = np.log(np.maximum(mags, floor)) + 1j * np.angle(psi)
+    log_amp = np.log(np.maximum(mags, AMPLITUDE_FLOOR)) + 1j * np.angle(psi)
     signs = 1.0 - 2.0 * (subset_orders(L) & 1)
     return CumulantCoefficients(signs * fwht(log_amp) / n, L)
 
@@ -101,11 +101,10 @@ def reconstruct(coeffs: CumulantCoefficients, kept: np.ndarray | None = None) ->
         masked = np.zeros_like(c)
         masked[kept] = c[kept]
         c = masked
-    n = c.size
     signs = 1.0 - 2.0 * (subset_orders(coeffs.L) & 1)
     log_amp = fwht(signs * c)
     amps = np.exp(log_amp - np.max(log_amp.real))
-    return exact.fix_phase(amps / np.linalg.norm(amps))
+    return exact.fix_phase(exact.normalize(amps))
 
 
 def magnitude_ranking(coeffs: CumulantCoefficients) -> np.ndarray:
@@ -215,14 +214,11 @@ def _truncation_infidelity(log_a, reference, ref_norm, buffers) -> float:
     return float(max(0.0, 1.0 - overlap**2))
 
 
-def coefficient_relative_errors(
-    c_model: CumulantCoefficients, c_exact: CumulantCoefficients,
-    floor: float = COEFF_FLOOR,
-):
+def coefficient_relative_errors(c_model: CumulantCoefficients, c_exact: CumulantCoefficients):
     """Per-coefficient relative errors ranked by descending |c_exact|.
 
-    Returns (ranked bitmasks, errors); entries where |c_exact| < floor are
-    NaN (relative error undefined).
+    Returns (ranked bitmasks, errors); entries where |c_exact| < COEFF_FLOOR
+    are NaN (relative error undefined).
     """
     if c_model.L != c_exact.L:
         raise ValueError("coefficient sets live on different chains")
@@ -230,6 +226,6 @@ def coefficient_relative_errors(
     ref = np.abs(c_exact.c[ranking])
     err = np.abs(c_model.c[ranking] - c_exact.c[ranking])
     out = np.full(ref.shape, np.nan)
-    ok = ref >= floor
+    ok = ref >= COEFF_FLOOR
     out[ok] = err[ok] / ref[ok]
     return ranking, out

@@ -32,6 +32,7 @@ from . import hilbert
 
 DENSE_MAX_SITES = 14
 COEFF_DROP_TOL = 1e-14
+STOQUASTIC_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -193,12 +194,12 @@ def rotate(h: RotatedTfim, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def is_stoquastic(h: RotatedTfim, tol: float = 1e-12) -> bool:
-    """True iff every off-diagonal matrix element is <= tol."""
+def is_stoquastic(h: RotatedTfim) -> bool:
+    """True iff every off-diagonal matrix element is <= STOQUASTIC_TOL."""
     if h.L > DENSE_MAX_SITES:
         raise ValueError(f"stoquasticity scan refused for L={h.L} > {DENSE_MAX_SITES}")
     m = h.elements.tocoo()
-    return not np.any(m.data[m.row != m.col] > tol)
+    return not np.any(m.data[m.row != m.col] > STOQUASTIC_TOL)
 
 
 def phase_amplitude_decomposition(h: RotatedTfim, s: int, sp: int):
@@ -231,10 +232,9 @@ def stoquastic_energy(h: RotatedTfim, amplitudes: np.ndarray) -> float:
 
 
 def parity_expectation(h: RotatedTfim, psi: np.ndarray) -> float:
-    """<psi| prod_i sx~_i(theta) |psi> for a normalized state."""
-    c, s = np.cos(h.theta), np.sin(h.theta)
-    idx = np.arange(h.dim)
-    v = np.asarray(psi, dtype=complex).copy()
-    for i in range(h.L):
-        v = c * v[idx ^ (1 << i)] + s * hilbert.parity_in_mask(idx, 1 << i) * v
-    return float(np.real(np.vdot(psi, v)))
+    """<psi| prod_i sx~_i(theta) |psi> for a normalized state.
+
+    prod_i sx~_i = V P V^T = V^2 P: P = prod_i X_i reverses a vector, and
+    P V^T P = V since X R^T X = R on each site.
+    """
+    return float(np.vdot(psi, rotate(h, rotate(h, psi[::-1]))).real)

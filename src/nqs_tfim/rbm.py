@@ -210,10 +210,9 @@ def full_state_vector(w: RbmParameters) -> np.ndarray:
     """Normalized, phase-fixed amplitudes over all 2^L configurations."""
     lp = log_psi_all(w)
     amps = np.exp(lp - np.max(lp.real))
-    norm = np.linalg.norm(amps)
-    if norm == 0 or not np.isfinite(norm):
-        raise ValueError("state vector degenerate: amplitudes underflowed")
-    return exact.fix_phase(amps / norm)
+    if not np.isfinite(amps).all():
+        raise ValueError("state vector degenerate: non-finite amplitudes")
+    return exact.fix_phase(exact.normalize(amps))
 
 
 def apply_pi_rotation(w: RbmParameters, j: int) -> RbmParameters:

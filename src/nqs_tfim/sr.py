@@ -221,11 +221,11 @@ def _product_layout(L: int, M: int) -> _Layout:
                                      + np.arange(n_low + 1)[:, None])
     s_pos[n_low + 1 + hi, n_low + 1 + hj] = len(li) + (n_low + 1) * n_high + np.arange(len(hi))
     s_pos = np.maximum(s_pos, s_pos.T)   # mirror the upper triangle
-    n_rows = len(li) + (n_low + 1) * n_high + len(hi)
 
     _, _, t_pos = _pairs(M + 1)
     site, hidden = (_in_parameter_order(g) for g in np.indices((L + 1, M + 1)))
     n_g = _g_rows(M)
+    n_rows = _buffer_shapes(L, M)["moments"][0][1]
     readout = (s_pos[site[:, None], site] * n_g + t_pos[hidden[:, None], hidden]
                + n_rows * n_g * (hidden[:, None] > hidden))
     means = s_pos[0, site] * n_g + t_pos[0, hidden]
@@ -396,14 +396,7 @@ def solve_sr_system(s_mat: np.ndarray, f: np.ndarray, epsilon: float) -> np.ndar
     return delta
 
 
-def sr_step(w: RbmParameters, f: np.ndarray, s_mat: np.ndarray, cfg: SrConfig) -> RbmParameters:
-    """One downhill update omega -> omega - eta * (S + eps)^-1 f."""
-    delta = solve_sr_system(s_mat, f, cfg.epsilon)
-    vec = w.to_vector() - cfg.eta * delta
-    return RbmParameters.from_vector(vec, w.L, w.M)
-
-
-def optimize(h: RotatedTfim, cfg: SrConfig, w0: RbmParameters | None = None) -> OptimizationTrace:
+def optimize(h: RotatedTfim, cfg: SrConfig) -> OptimizationTrace:
     """Run n_iter SR steps from a seeded random initialization.
 
     Raises MemoryError before allocating anything of size 2^L when
@@ -412,14 +405,14 @@ def optimize(h: RotatedTfim, cfg: SrConfig, w0: RbmParameters | None = None) -> 
     variance, force or S entry, on divergence, or on a failed solve.
     """
     L = h.L
-    M = w0.M if w0 is not None else rbm.n_hidden(L, cfg.alpha)
+    M = rbm.n_hidden(L, cfg.alpha)
     need, limit = working_set_bytes(L, M), _physical_memory_bytes()
     if need > limit:
         raise MemoryError(
             f"SR at L={L}, M={M} needs about {need:.3g} bytes, more than the "
             f"{limit:.3g} bytes of physical memory")
     bufs = _allocate_buffers(L, M)
-    w = w0 if w0 is not None else rbm.init_random(L, cfg.alpha, cfg.seed, cfg.init_scale)
+    w = rbm.init_random(L, cfg.alpha, cfg.seed, cfg.init_scale)
     vec = w.to_vector()   # w views it from the first step on
     energies = np.zeros(cfg.n_iter, dtype=complex)
     variances = np.zeros(cfg.n_iter)

@@ -238,14 +238,6 @@ def test_force_matches_finite_difference_of_energy(rng):
 
 # ----------------------------------------------------------------- sr updates
 
-def test_zero_force_step_is_noop(rng):
-    w = random_params(rng, 2)
-    n = w.n_var
-    cfg = SrConfig(eta=0.05, n_iter=1)
-    w2 = sr.sr_step(w, np.zeros(n, complex), np.eye(n, dtype=complex), cfg)
-    assert np.allclose(w2.to_vector(), w.to_vector())
-
-
 def test_solve_sr_system_residual():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -270,14 +262,10 @@ def test_solve_sr_system_raises_on_a_non_finite_force(bad):
         sr.solve_sr_system(np.eye(3, dtype=complex), f, 1e-4)
 
 
-def test_single_step_decreases_energy(rng):
+def test_single_step_decreases_energy():
     h = RotatedTfim(3, 1.5, 0.0)
-    w = random_params(rng, 3, scale=0.1)
-    energy, f, s_mat = sr.expectations(h, w)
-    cfg = SrConfig(eta=0.02, n_iter=1)
-    w2 = sr.sr_step(w, f, s_mat, cfg)
-    e2, _ = sr.energy_and_variance(h, w2)
-    assert e2.real < energy.real
+    trace = sr.optimize(h, SrConfig(eta=0.02, n_iter=2, init_scale=0.1))
+    assert trace.energies[1].real < trace.energies[0].real
 
 
 def test_optimize_converges_to_ground_state():
@@ -489,8 +477,8 @@ def ending_in_nan_for(bad_seeds, monkeypatch):
     while still reporting convergence."""
     real = sr.optimize
 
-    def patched(h, cfg, w0=None):
-        trace = real(h, cfg, w0)
+    def patched(h, cfg):
+        trace = real(h, cfg)
         if cfg.seed in bad_seeds:
             trace = dataclasses.replace(trace, energies=np.append(trace.energies, np.nan))
         return trace
@@ -519,8 +507,8 @@ def ending_one_ulp_lower_per_index(seeds, monkeypatch):
     """Patch sr.optimize so the run with seeds[i] ends at -2 minus i ulps."""
     real = sr.optimize
 
-    def patched(h, cfg, w0=None):
-        trace = real(h, cfg, w0)
+    def patched(h, cfg):
+        trace = real(h, cfg)
         energy = -2.0
         for _ in range(seeds.index(cfg.seed)):
             energy = np.nextafter(energy, -np.inf)
