@@ -477,30 +477,31 @@ def _lowest(energies) -> int | None:
     return int(np.flatnonzero(finite & (e <= e_min + ENERGY_TIE_RTOL * abs(e_min)))[0])
 
 
+def _lowest_completed(traces) -> int | None:
+    """_lowest over the final energies of the runs that did not abort."""
+    return _lowest([t.final_energy.real if t.converged else np.nan for t in traces])
+
+
 def hyperparameter_search(h: RotatedTfim, trials: int, seed: int, base: SrConfig) -> TrialResult:
     """Random search over the learning rate, lowest final energy wins.
 
-    eta is sampled uniformly in ETA_SEARCH_RANGE. Only converged trials with
-    a finite final energy compete, ties within ENERGY_TIE_RTOL go to the
-    first trial; RuntimeError if no trial competes.
+    eta is sampled uniformly in ETA_SEARCH_RANGE. Only trials that completed
+    with a finite final energy compete, ties within ENERGY_TIE_RTOL go to
+    the first trial; RuntimeError if no trial competes.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    done = []
-    failures = []
+    results = []
     for t in range(trials):
-        eta = float(rng.uniform(*ETA_SEARCH_RANGE))
-        cfg = replace(base, eta=eta, seed=derive_seed(seed, t))
-        trace = optimize(h, cfg)
-        if not trace.converged or not np.isfinite(trace.final_energy):
-            failures.append((eta, trace.abort_reason or "non-finite final energy"))
-            continue
-        done.append(TrialResult(cfg, trace))
-    best = _lowest([r.trace.final_energy.real for r in done])
+        cfg = replace(base, eta=float(rng.uniform(*ETA_SEARCH_RANGE)), seed=derive_seed(seed, t))
+        results.append(TrialResult(cfg, optimize(h, cfg)))
+    best = _lowest_completed([r.trace for r in results])
     if best is None:
+        failures = [(r.config.eta, r.trace.abort_reason or "non-finite final energy")
+                    for r in results]
         raise RuntimeError(f"all {trials} trials diverged: {failures}")
-    return done[best]
+    return results[best]
 
 
 @dataclass(frozen=True)
@@ -514,9 +515,11 @@ class Realization:
 def multi_seed_run(h: RotatedTfim, cfg: SrConfig, n_realizations: int):
     """Independent restarts with seeds fanned out from cfg.seed.
 
-    Returns (realizations, best) where best has the lowest finite final
-    energy, the first one among ties within ENERGY_TIE_RTOL; RuntimeError if
-    no realization ends finite.
+    Returns (realizations, best), where best is chosen as in
+    hyperparameter_search: the lowest finite final energy among the runs
+    that completed, the first one among ties within ENERGY_TIE_RTOL;
+    RuntimeError if no realization qualifies. Aborted runs stay in the
+    list.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
@@ -526,7 +529,8 @@ def multi_seed_run(h: RotatedTfim, cfg: SrConfig, n_realizations: int):
         trace = optimize(h, run_cfg)
         state = rbm.full_state_vector(trace.final_params)
         out.append(Realization(run_cfg.seed, trace, state, trace.final_energy.real))
-    best = _lowest([r.energy for r in out])
+    best = _lowest_completed([r.trace for r in out])
     if best is None:
-        raise RuntimeError(f"all {n_realizations} realizations ended non-finite")
+        raise RuntimeError(
+            f"none of {n_realizations} realizations completed with a finite energy")
     return out, out[best]

@@ -503,6 +503,25 @@ def test_multi_seed_run_raises_when_none_finite(monkeypatch):
         sr.multi_seed_run(h, cfg, 2)
 
 
+def test_multi_seed_run_never_picks_an_aborted_run(monkeypatch):
+    # realization 0 aborts with the lowest energy of the two
+    h = RotatedTfim(3, 1.5, 0.0)
+    cfg = SrConfig(eta=0.02, n_iter=20, seed=11)
+    real = sr.optimize
+
+    def patched(h, cfg):
+        trace = real(h, cfg)
+        if cfg.seed == sr.derive_seed(11, 0):
+            trace = dataclasses.replace(trace, energies=np.append(trace.energies, -100.0),
+                                        converged=False, abort_reason="injected abort")
+        return trace
+
+    monkeypatch.setattr(sr, "optimize", patched)
+    runs, best = sr.multi_seed_run(h, cfg, 2)
+    assert runs[0].energy < runs[1].energy
+    assert best is runs[1]
+
+
 def ending_one_ulp_lower_per_index(seeds, monkeypatch):
     """Patch sr.optimize so the run with seeds[i] ends at -2 minus i ulps."""
     real = sr.optimize
