@@ -56,9 +56,12 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         self.theta = _expand_theta(self.theta)
-        if self.eta is None and self.search_trials < 1:
-            raise ValueError("need either a fixed eta or search_trials >= 1 "
+        if (self.eta is None) == (self.search_trials < 1):
+            raise ValueError("need either a fixed eta or search_trials >= 1, not both "
                              f"(config keys {FIELD_KEYS['eta']}, {FIELD_KEYS['search_trials']})")
+        if self.search_n_iter is not None and self.search_trials < 1:
+            raise ValueError(f"search_n_iter needs search_trials >= 1 (config keys "
+                             f"{FIELD_KEYS['search_n_iter']}, {FIELD_KEYS['search_trials']})")
         for name in ("eta", "epsilon"):
             value = getattr(self, name)
             if value is not None and not value > 0:

@@ -176,7 +176,10 @@ def test_load_config_reads_a_scalar_list_key_as_one_entry(tmp_path, theta, expec
     ("rbm:\n  alpha: [0]\n", "alpha="),
     ("rbm:\n  alpha: []\n", "alpha needs"),
     ("sr:\n  search_trials: -2\n", "search_trials must"),
-], ids=["eta", "epsilon", "L-0", "L-30", "alpha", "alpha-empty", "search_trials"])
+    ("sr:\n  eta: 0.05\n  search_trials: 2\n", "not both.*sr.eta, sr.search_trials"),
+    ("sr:\n  search_n_iter: 50\n", "sr.search_n_iter, sr.search_trials"),
+], ids=["eta", "epsilon", "L-0", "L-30", "alpha", "alpha-empty", "search_trials",
+        "eta-and-search", "search_n_iter-without-search"])
 def test_load_config_refuses_values_that_fail_every_point(tmp_path, text, named):
     with pytest.raises(ValueError, match=named):
         experiments.load_config(write_yaml(tmp_path, "kind: uniformity\n" + text))
