@@ -3,16 +3,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import nqs_tfim
 
 ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
 
-def test_spectrum_demo_runs():
-    # the one demo that reaches the Lanczos solver (L = 10)
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     src = str(Path(nqs_tfim.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / "01_spectrum_and_gap.py")],
+    env["TMPDIR"] = str(tmp_path)   # demo 07 writes its sweep into a temporary directory
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
