@@ -4,7 +4,8 @@ All expectation values are Born-weighted sums over the complete set of 2^L
 configurations; there is no Monte Carlo sampling anywhere. Forces follow
 f_k = <E_loc O*_k> - <E_loc><O*_k> and the quantum Fisher matrix is
 S = <O* O> - <O*><O>; the update solves (S + eps*1) d = f and moves the
-parameters by -eta*d (downhill).
+parameters by -eta*d (downhill), between consecutive parameter sets
+only: the parameters optimize returns are the last set it evaluated.
 
 The averages use the RBM's product structure instead of the (2^L, n_var)
 log-derivative matrix O. With s_hat = [1, s_1..s_L] and
@@ -100,7 +101,7 @@ class OptimizationTrace:
     variances: np.ndarray
     grad_norms: np.ndarray
     param_norms: np.ndarray
-    final_params: RbmParameters
+    final_params: RbmParameters   # the last set evaluated, whose energy is energies[-1]
     converged: bool
     abort_reason: str | None = None
 
@@ -397,7 +398,8 @@ def solve_sr_system(s_mat: np.ndarray, f: np.ndarray, epsilon: float) -> np.ndar
 
 
 def optimize(h: RotatedTfim, cfg: SrConfig) -> OptimizationTrace:
-    """Run n_iter SR steps from a seeded random initialization.
+    """Evaluate n_iter parameter sets, from a seeded random initialization
+    and n_iter - 1 SR steps; final_params is the last set evaluated.
 
     Raises MemoryError before allocating anything of size 2^L when
     working_set_bytes exceeds the machine's physical memory. Stops early,
@@ -439,6 +441,8 @@ def optimize(h: RotatedTfim, cfg: SrConfig) -> OptimizationTrace:
         elif abs(energy) > DIVERGENCE_FACTOR * max(e_init, 1.0):
             abort = f"divergence guard tripped at iteration {it}"
             break
+        if n_done == cfg.n_iter:
+            break   # no step after the last evaluation
         try:
             delta = solve_sr_system(s_mat, f, cfg.epsilon)
         except RuntimeError as err:

@@ -282,6 +282,14 @@ def test_optimize_converges_to_ground_state():
     assert trace.energies[-1].real < trace.energies[0].real
 
 
+@pytest.mark.parametrize("L", [6, 12])
+def test_final_params_have_the_final_energy(L):
+    h = RotatedTfim(L, 1.5, 0.3)
+    trace = sr.optimize(h, SrConfig(eta=0.05, n_iter=5, seed=3))
+    assert trace.converged
+    assert sr.energy_and_variance(h, trace.final_params)[0] == trace.final_energy
+
+
 def test_optimize_trace_shapes():
     h = RotatedTfim(2, 1.0, 0.0)
     cfg = SrConfig(eta=0.01, n_iter=7, seed=1)
