@@ -167,7 +167,9 @@ def infidelity_curve(source: np.ndarray, reference: np.ndarray, ns) -> list:
     else:
         planes, values = (masked.real, masked.imag), signed.real
     kept = [0] * len(planes)
-    buffers = tuple(np.empty(c.size) for _ in range(3))   # reused for every N
+    # reused for every N; the complex one, whose imaginary part stays 0,
+    # holds real amplitudes for the overlap
+    buffers = (*(np.empty(c.size) for _ in range(3)), np.zeros(c.size, dtype=complex))
     out = []
     for start in range(0, len(ns), len(planes)):
         chunk = ns[start:start + len(planes)]
@@ -193,12 +195,13 @@ def _truncation_infidelity(log_a, reference, ref_norm, buffers) -> float:
     t = tan(y/2): one real exp and one tan per amplitude, the half-angle
     form `rbm.log_psi_and_tanh` uses. The overlap is taken on these
     unnormalized amplitudes, since the infidelity does not depend on norm
-    or global phase; their norm comes from the real magnitudes e^x.
+    or global phase; their norm comes from the real magnitudes e^x. Real
+    amplitudes are copied into the real part of the complex buffer, so
+    `np.vdot` makes no complex copy of them.
     """
-    mag, t, q = buffers
+    mag, t, q, real_amps = buffers
     np.subtract(log_a.real, np.max(log_a.real), out=mag)
     np.exp(mag, out=mag)                             # |a| = e^x
-    amps = mag
     if np.iscomplexobj(log_a):
         amps = log_a
         np.multiply(amps.imag, 0.5, out=t)
@@ -210,6 +213,9 @@ def _truncation_infidelity(log_a, reference, ref_norm, buffers) -> float:
         amps.real *= q                               # |a| cos y
         q += q
         np.multiply(q, t, out=amps.imag)             # |a| sin y
+    else:
+        amps = real_amps
+        amps.real = mag
     overlap = np.abs(np.vdot(reference, amps)) / (np.linalg.norm(mag) * ref_norm)
     return float(max(0.0, 1.0 - overlap**2))
 

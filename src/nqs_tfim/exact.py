@@ -1,10 +1,14 @@
 """Exact diagonalization, state-vector metrics and sign diagnostics.
 
-`ground_states` solves the even and odd parity blocks of H(0), each of
-size 2^(L-1), and rotates the eigenvectors to H(theta). A block is solved
-densely for L <= DENSE_SOLVE_MAX_SITES and by `_lanczos` above that, up to
-SOLVER_MAX_SITES: a three-term Lanczos recurrence with a thick restart that
-holds at most LANCZOS_BASIS vectors, and deflation for more than one level.
+`ground_states` solves the even and odd parity blocks A +- B of H(0), each
+of size 2^(L-1), from one half-size CSR matrix A and the top-site flip B
+(`RotatedTfim.parity_sectors`), and rotates the eigenvectors to H(theta).
+A block is formed densely and solved for L <= DENSE_SOLVE_MAX_SITES, and
+above that, up to SOLVER_MAX_SITES, applied as A v +- b * v[::-1] by
+`_lanczos`: a three-term Lanczos recurrence with a thick restart that holds
+at most LANCZOS_BASIS vectors, and deflation for more than one level. The
+residual check applies H(theta) from its definition
+(`hamiltonian.apply_from_definition`), so no matrix of H(theta) is built.
 """
 
 from dataclasses import dataclass
@@ -77,8 +81,10 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     sector minima, since the first excitation flips one fermion and with it
     the parity. For k > 2 each block gives its k lowest. The levels are
     merged by energy (even first on an exact tie), embedded as
-    (u, +-u reversed), rotated by V(theta), normalized and phase-fixed, and
-    each is checked against H(theta) by its residual. In the
+    (u, +-u reversed) and rotated by V(theta). The real rotated vectors,
+    normalized, are checked against H(theta) by their residuals, all k at
+    once and with no matrix (`hamiltonian.apply_from_definition`); then
+    each is normalized as a complex vector and phase-fixed. In the
     (near-)degenerate ferromagnet the two states are therefore parity
     eigenstates, not a rounding-dependent mix. k must lie in [1, 2^L], and
     below 2^(L-1) where Lanczos is used (k <= 511 at L = 10).
@@ -92,12 +98,22 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
         raise ValueError(f"k={k} outside [1, {k_max}] at L={h.L}")
     per_sector = min(1 if k <= 2 else k, half)
 
+    a, b = h.parity_sectors
+    if dense:
+        a, rows = a.toarray(), np.arange(half)
     energies, vecs = [], []
-    for sign, parity, block in zip((1.0, -1.0), ("even", "odd"), h.parity_sectors):
+    for sign, parity in zip((1.0, -1.0), ("even", "odd")):
+        sb = sign * b
         if dense:
-            e, u = scipy.linalg.eigh(block.toarray(), subset_by_index=[0, per_sector - 1])
+            block = a.copy()
+            block[rows, rows[::-1]] += sb          # A +- B
+            e, u = scipy.linalg.eigh(block, subset_by_index=[0, per_sector - 1])
         else:
-            e, u = _lanczos(block, per_sector,
+            def block_matvec(v, a=a, sb=sb):       # (A +- B) v
+                w = a @ v
+                w += sb * v[::-1]
+                return w
+            e, u = _lanczos(block_matvec, half, per_sector,
                             f"L={h.L}, lambda={h.lam:g}, {parity} parity block")
         energies.append(e)
         vecs.append(np.concatenate([u, sign * u[::-1]]))
@@ -105,21 +121,22 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     order = np.argsort(energies, kind="stable")[:k]
     energies, vecs = energies[order], hamiltonian.rotate(h, vecs[:, order])
 
+    real = vecs / np.linalg.norm(vecs, axis=0)
+    res = np.linalg.norm(hamiltonian.apply_from_definition(h, real) - energies * real, axis=0)
+    bad = np.flatnonzero(~(res <= EIG_RESIDUAL_TOL))
+    if bad.size:
+        j = bad[0]
+        raise RuntimeError(f"eigenpair {j} residual {res[j]:.2e} exceeds {EIG_RESIDUAL_TOL}")
     states = np.empty((h.dim, k), dtype=complex)
     for j in range(k):
-        v = fix_phase(normalize(vecs[:, j]))
-        res = np.linalg.norm(hamiltonian.matvec(h, v) - energies[j] * v)
-        if res > EIG_RESIDUAL_TOL:
-            raise RuntimeError(
-                f"eigenpair {j} residual {res:.2e} exceeds {EIG_RESIDUAL_TOL}"
-            )
-        states[:, j] = v
+        states[:, j] = fix_phase(normalize(vecs[:, j]))
     return SpectrumSummary(np.asarray(energies, dtype=float), states, h.L, h.lam, h.theta)
 
 
-def _lanczos(block, n_low: int, name: str):
+def _lanczos(matvec, n: int, n_low: int, name: str):
     """(energies, vectors): the n_low lowest eigenpairs of the real
-    symmetric matrix `block`, one column of `vectors` per energy.
+    symmetric n x n matrix H that `matvec` applies to a vector, one column
+    of `vectors` per energy.
 
     The pairs are found one at a time, each by its own run of the
     three-term Lanczos recurrence (Lanczos, J. Res. NBS 45, 255 (1950))
@@ -131,18 +148,17 @@ def _lanczos(block, n_low: int, name: str):
     from the residual (thick restart; Wu & Simon, SIAM J. Matrix Anal.
     Appl. 22, 602 (2000)). Each time the basis has grown by that many
     vectors, the lowest Ritz pair (theta, y) is tested, and it is taken
-    when its residual ||block y - theta y|| = beta |s_last| is at most
+    when its residual ||H y - theta y|| = beta |s_last| is at most
     LANCZOS_TOL * max(|theta|, eps^(2/3)), the rule of ARPACK. A run that
     takes more than LANCZOS_MAX_STEPS steps raises RuntimeError, naming
-    the block by `name`.
+    the matrix by `name`.
     """
-    n = block.shape[0]
     keep = LANCZOS_BASIS // 4
     floor = np.finfo(float).eps ** (2 / 3)
     start = np.random.default_rng(0).standard_normal(n)
     found, energies = np.empty((n_low, n)), np.empty(n_low)
     basis = np.empty((LANCZOS_BASIS + 1, n))
-    t = np.empty((LANCZOS_BASIS, LANCZOS_BASIS))   # basis^T block basis
+    t = np.empty((LANCZOS_BASIS, LANCZOS_BASIS))   # basis^T H basis
     for i in range(n_low):
         locked = found[:i]
         v = start - (locked @ start) @ locked
@@ -150,7 +166,7 @@ def _lanczos(block, n_low: int, name: str):
         t[:] = 0.0
         j = kept = 0
         for _ in range(LANCZOS_MAX_STEPS):
-            w = block @ basis[j]
+            w = matvec(basis[j])
             if j > kept:
                 daxpy(basis[j - 1], w, a=-beta)    # in place in w
             elif kept:                              # first step after a restart

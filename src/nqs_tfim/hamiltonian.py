@@ -7,19 +7,22 @@ coefficients, stored as (x_mask, z_mask, coeff) triples. The matrix element
 of coeff * Z_A X_B between <s| and |s'> is nonzero only for s' = s ^ B and
 then equals coeff * prod_{i in A} s_i.
 
-Every routine that applies H to a full vector reads one scipy.sparse CSR
-matrix, built on first use and cached on the instance. Row s holds one
-entry per flip mask B, at column s ^ B: the sum over the terms with that
-mask of coeff * prod_{i in A} s_i (`_mask_table`). `row` works from the
-term list directly and serves as the independent oracle.
+`matvec` and the other routines that read H's matrix elements use one
+scipy.sparse CSR matrix, built on first use and cached on the instance.
+Row s holds one entry per flip mask B, at column s ^ B: the sum over the
+terms with that mask of coeff * prod_{i in A} s_i (`_mask_table`). `row`
+works from the term list directly and serves as the independent oracle.
 
 Every H(theta) is a site-by-site real rotation of the unrotated chain,
 H(theta) = V H(0) V^T with V = prod_i R_i(theta/2) (`rotate`), and H(0)
 commutes with the parity prod_i X_i, which maps x to its complement ~x.
-`RotatedTfim.parity_sectors` gives the two blocks of H(0) in the basis
-(|x> +- |~x>)/sqrt(2), x < 2^(L-1), built by `_mask_table` from H(0)'s
-term list for the rows x < 2^(L-1) only, so no full-size matrix of H(0) is
-formed; exact diagonalization solves them and rotates the eigenvectors back.
+`RotatedTfim.parity_sectors` gives H(0) in the basis (|x> +- |~x>)/sqrt(2),
+x < 2^(L-1), as A +- B: one half-size CSR matrix A, built by `_mask_table`
+from H(0)'s term list for the rows x < 2^(L-1) only, and the top-site flip
+B, one value per row. Exact diagonalization solves the two blocks, rotates
+the eigenvectors back and checks them with `apply_from_definition`, which
+applies H(theta) as 3L - 2 real 2x2 site maps, with no matrix, no term list
+and no `rotate`. So ED forms no full-size matrix of H(0) or H(theta).
 """
 
 from dataclasses import dataclass, field
@@ -66,29 +69,30 @@ class RotatedTfim:
 
     @cached_property
     def parity_sectors(self) -> tuple:
-        """(even, odd) blocks of H(0) on the parity basis (|x> +- |~x>)/sqrt(2).
+        """(A, b): H(0) on the parity basis (|x> +- |~x>)/sqrt(2) is A +- B.
 
         x runs over [0, 2^(L-1)) and ~x = x ^ (2^L - 1). The rows x of H(0)
         are built from its term list by `_mask_table`, as `elements` builds
-        them, and nothing else of H(0) is formed. With A the columns
-        y < 2^(L-1) of those rows and B[x, y] = H(0)[x, ~y] the others, the
-        blocks are A + B and A - B: parity symmetry gives
-        H(0)[~x, ~y] = H(0)[x, y]. An entry at column c >= 2^(L-1) goes to
-        column ~c. Each row keeps one entry per flip mask, so for L <= 2,
-        where A and B share a column, that column holds two entries, which
-        every product of the CSR matrix adds. Does not depend on theta.
+        them, and nothing else of H(0) is formed. A is the CSR matrix of the
+        flip masks that keep x below 2^(L-1), every mask but the top site's,
+        with one entry per mask in each row. B[x, y] = H(0)[x, ~y] holds the
+        top-site flip alone, one entry per row at column 2^(L-1) - 1 - x
+        (= ~(x ^ 2^(L-1))), whose values are b[x]; so (B v)[x] = b[x] v[::-1][x].
+        The even and odd blocks are A + B and A - B: parity symmetry gives
+        H(0)[~x, ~y] = H(0)[x, y]. b is 0 where the top site has no flip
+        term (lambda = 0). For L <= 2 the B entry shares its column with an
+        entry of A. Does not depend on theta.
         """
         half = self.dim // 2
         rows = np.arange(half, dtype=np.int32)
         masks, data = _mask_table(_build_terms(self.L, self.lam, 0.0), self.L, rows)
-        cols = rows[:, None] ^ masks
-        in_b = cols >= half
-        cols = np.where(in_b, self.dim - 1 - cols, cols).ravel()
-        indptr = np.arange(half + 1, dtype=np.int32) * len(masks)
-        return tuple(   # A + B, A - B; own index arrays, as scipy may sort them in place
-            scipy.sparse.csr_array((np.where(in_b, sign * data, data).ravel(),
-                                    cols.copy(), indptr.copy()), shape=(half, half))
-            for sign in (1.0, -1.0))
+        top = masks == half   # H(0) flips single sites, so only this mask leaves the half
+        b = data[:, top][:, 0] if top.any() else np.zeros(half)
+        indptr = np.arange(half + 1, dtype=np.int32) * int(np.count_nonzero(~top))
+        a = scipy.sparse.csr_array(
+            (data[:, ~top].ravel(), (rows[:, None] ^ masks[~top]).ravel(), indptr),
+            shape=(half, half))
+        return a, b
 
 
 def _mask_table(terms, L, rows):
@@ -162,16 +166,17 @@ def dense_matrix(h: RotatedTfim) -> np.ndarray:
 def matvec(h: RotatedTfim, v: np.ndarray) -> np.ndarray:
     """H @ v from the cached CSR matrix, O(n_masks * 2^L).
 
-    A complex v is applied as one product to its real view, the real and
-    imaginary parts side by side, so the real matrix is never converted to
-    complex and is read once.
+    A complex v is applied as two real one-column products, to its real and
+    to its imaginary part, so the real matrix is never converted to
+    complex. From L = 10 up they are faster than one product to the
+    (2^L, 2) real view, scipy's multi-column kernel; the sums are the same.
     """
     m = h.elements
     v = np.asarray(v)
     if np.iscomplexobj(v):
-        v = np.ascontiguousarray(v, dtype=complex)
-        pairs = v.view(np.float64).reshape(len(v), -1)
-        return (m @ pairs).view(complex).reshape(v.shape)
+        out = np.empty(v.shape, dtype=complex)
+        out.real, out.imag = m @ v.real, m @ v.imag
+        return out
     return m @ v
 
 
@@ -192,6 +197,36 @@ def rotate(h: RotatedTfim, v: np.ndarray) -> np.ndarray:
         a, b = pairs[:, 0], pairs[:, 1]   # views: both new halves are computed first
         pairs[:, 0], pairs[:, 1] = c * a - s * b, s * a + c * b
     return v
+
+
+def apply_from_definition(h: RotatedTfim, v: np.ndarray) -> np.ndarray:
+    """H(theta) v for a real v of 2^L rows, from the definition
+    -sum_i sz~_i sz~_{i+1} - lambda sum_i sx~_i, with no matrix.
+
+    On each pair of entries that differ only in bit i, the one with bit i
+    clear first, Z = diag(-1, 1) and X swaps them, so sz~_i = c Z - s X and
+    sx~_i = c X + s Z, with c = cos(theta) and s = sin(theta), are real 2x2
+    maps. A bond takes two of them and a field term one: 3L - 2 batched
+    2x2 products over v, which may carry trailing columns, each mapped
+    alike. Uses neither the term list nor `rotate`, so it is an independent
+    check of both.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.shape[0] != h.dim:
+        raise ValueError(f"vector has {v.shape[0]} rows, H has {h.dim}")
+    c, s = np.cos(h.theta), np.sin(h.theta)
+    sz = np.array([[-c, -s], [-s, c]])
+    sx = np.array([[-s, c], [c, s]])
+
+    def site(m, i, u):   # axis 1 of the reshaped u is bit i
+        return (m @ u.reshape(-1, 2, u.size >> (h.L - i))).reshape(u.shape)
+
+    out = np.zeros_like(v)
+    for i in range(h.L):
+        out -= h.lam * site(sx, i, v)
+        if i + 1 < h.L:
+            out -= site(sz, i, site(sz, i + 1, v))
+    return out
 
 
 def is_stoquastic(h: RotatedTfim) -> bool:

@@ -404,7 +404,10 @@ def optimize(h: RotatedTfim, cfg: SrConfig) -> OptimizationTrace:
     Raises MemoryError before allocating anything of size 2^L when
     working_set_bytes exceeds the machine's physical memory. Stops early,
     with converged False and an abort_reason, on a non-finite energy,
-    variance, force or S entry, on divergence, or on a failed solve.
+    variance, force or S entry, on a failed solve, or on divergence: a
+    parameter norm above DIVERGENCE_FACTOR * max(||w_0||, 1), with w_0 the
+    initial parameters. An energy bound could not serve, since every
+    variational energy lies within the spectrum.
     """
     L = h.L
     M = rbm.n_hidden(L, cfg.alpha)
@@ -420,7 +423,6 @@ def optimize(h: RotatedTfim, cfg: SrConfig) -> OptimizationTrace:
     variances = np.zeros(cfg.n_iter)
     grad_norms = np.zeros(cfg.n_iter)
     param_norms = np.zeros(cfg.n_iter)
-    e_init = None
     abort = None
     n_done = 0
     for it in range(cfg.n_iter):
@@ -436,9 +438,7 @@ def optimize(h: RotatedTfim, cfg: SrConfig) -> OptimizationTrace:
         if not (np.isfinite(var) and np.isfinite(f).all() and np.isfinite(s_mat).all()):
             abort = f"non-finite variance, forces or S at iteration {it}"
             break
-        if e_init is None:
-            e_init = abs(energy)
-        elif abs(energy) > DIVERGENCE_FACTOR * max(e_init, 1.0):
+        if param_norms[it] > DIVERGENCE_FACTOR * max(param_norms[0], 1.0):
             abort = f"divergence guard tripped at iteration {it}"
             break
         if n_done == cfg.n_iter:

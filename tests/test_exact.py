@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def test_lanczos_start_vector_reaches_below_the_all_ones_vector():
     edges.setdiag(0.0)
     m = (edges - scipy.sparse.diags(np.asarray(edges.sum(axis=1)).ravel())).tocsr()
     assert not np.any(m @ np.full(256, 1 / 16))
-    energies, _ = exact._lanczos(m, 1, "test matrix")
+    energies, _ = exact._lanczos(lambda v: m @ v, 256, 1, "test matrix")
     assert abs(energies[0] - np.linalg.eigvalsh(m.toarray())[0]) < 1e-10
 
 
@@ -97,9 +98,9 @@ def test_lanczos_refuses_to_run_past_its_step_cap(monkeypatch):
         exact.ground_states(RotatedTfim(10, 1.5, 0.3))
 
 
-def test_call_at_nonzero_theta_builds_only_the_matrix_of_h(monkeypatch):
-    # the blocks of H(0) come from its term list; the one CSR matrix built
-    # is H(theta)'s, for the residual check
+def test_call_at_nonzero_theta_builds_no_matrix_of_h(monkeypatch):
+    # the blocks of H(0) come from its term list, and the residual check
+    # applies H(theta) from its definition
     built = []
     build = RotatedTfim.elements.func
 
@@ -113,7 +114,32 @@ def test_call_at_nonzero_theta_builds_only_the_matrix_of_h(monkeypatch):
     for L in (6, 10):
         built.clear()
         exact.ground_states(RotatedTfim(L, 1.5, 0.3))
-        assert built == [0.3]
+        assert built == []
+
+
+def test_call_at_lanczos_size_allocates_no_full_size_matrix():
+    # 2.33 MB at L = 12 while the check built the CSR matrix of H(theta) and
+    # the two blocks had their own matrices; 0.97 MB with one half-size
+    # matrix of H(0) and a matrix-free check
+    exact.ground_states(RotatedTfim(12, 1.5, 0.3))   # warm-up, outside the trace
+    tracemalloc.start()
+    try:
+        exact.ground_states(RotatedTfim(12, 1.5, 0.3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25e6
+
+
+@pytest.mark.parametrize("L", [6, 12])
+def test_residual_check_catches_a_wrong_rotation(monkeypatch, L):
+    # the check applies H(theta) from its definition, not through `rotate`,
+    # so states rotated by -theta fail it
+    rotate = hamiltonian.rotate
+    monkeypatch.setattr(hamiltonian, "rotate",
+                        lambda h, v: rotate(RotatedTfim(h.L, h.lam, -h.theta), v))
+    with pytest.raises(RuntimeError, match="eigenpair 0 residual"):
+        exact.ground_states(RotatedTfim(L, 1.5, 0.3))
 
 
 def test_gap_shrinks_in_broken_phase():

@@ -85,6 +85,27 @@ def test_matvec_matches_dense(rng):
     assert np.allclose(hamiltonian.matvec(h, v), m @ v)
 
 
+def test_complex_matvec_is_bit_identical_to_two_real_products(rng):
+    h = RotatedTfim(7, 0.8, 0.7)
+    v = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
+    hv = hamiltonian.matvec(h, v)
+    assert np.array_equal(hv.real, hamiltonian.matvec(h, v.real.copy()))
+    assert np.array_equal(hv.imag, hamiltonian.matvec(h, v.imag.copy()))
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_apply_from_definition_matches_dense(L, rng):
+    for lam, theta in [(1.5, 0.7), (0.5, 0.3), (-0.7, 1.1), (0.0, np.pi / 2)]:
+        h = RotatedTfim(L, lam, theta)
+        m = hamiltonian.dense_matrix(h)
+        v = rng.normal(size=(h.dim, 3))
+        assert np.allclose(hamiltonian.apply_from_definition(h, v), m @ v, rtol=0, atol=1e-12)
+        assert np.allclose(hamiltonian.apply_from_definition(h, v[:, 0]), m @ v[:, 0],
+                           rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        hamiltonian.apply_from_definition(h, np.ones(h.dim // 2))
+
+
 def row_oracle_matrix(h):
     m = np.zeros((h.dim, h.dim))
     for s in range(h.dim):
@@ -321,15 +342,27 @@ def parity_projector(L, sign):
     return p
 
 
+def dense_sector_blocks(h):
+    """A + B and A - B of h.parity_sectors as dense arrays, B[x, 2^(L-1) - 1 - x] = b[x]."""
+    a, b = h.parity_sectors
+    rows = np.arange(h.dim // 2)
+    blocks = []
+    for sign in (1.0, -1.0):
+        block = a.toarray()
+        block[rows, rows[::-1]] += sign * b
+        blocks.append(block)
+    return blocks
+
+
 @pytest.mark.parametrize("L", range(1, 7))
 @pytest.mark.parametrize("theta", [0.0, 0.3])
 def test_parity_sectors_are_dense_projections(L, theta):
     h = RotatedTfim(L, 0.9, theta)
     h0 = hamiltonian.dense_matrix(RotatedTfim(L, 0.9, 0.0))
-    for sign, block in zip((1, -1), h.parity_sectors):
+    for sign, block in zip((1, -1), dense_sector_blocks(h)):
         p = parity_projector(L, sign)
         assert block.shape == (h.dim // 2, h.dim // 2)
-        assert np.max(np.abs(block.toarray() - p.T @ h0 @ p)) < 1e-14
+        assert np.max(np.abs(block - p.T @ h0 @ p)) < 1e-14
 
 
 def test_parity_sectors_are_cached_per_instance():
@@ -376,8 +409,8 @@ def parity_sectors_cut_from_h0(L, lam):
 def test_half_size_blocks_are_bit_identical_to_the_cut_from_h0(L):
     for lam in (-0.7, 0.0, 0.9):
         for theta in (0.0, 0.3):
-            new = RotatedTfim(L, lam, theta).parity_sectors
+            new = dense_sector_blocks(RotatedTfim(L, lam, theta))
             for got, want in zip(new, parity_sectors_cut_from_h0(L, lam)):
-                got, want = got.toarray(), want.toarray()
+                want = want.toarray()
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))

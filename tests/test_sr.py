@@ -337,6 +337,17 @@ def test_optimize_aborts_on_infinite_variance(monkeypatch):
     assert trace.variances[-1] == np.inf
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # amplitudes underflow as w grows
+@pytest.mark.parametrize("eta", [100.0, 1e4])
+def test_optimize_aborts_when_the_parameters_diverge(eta):
+    # every variational energy lies within the spectrum, so an energy bound
+    # never trips; these runs end far from E0 with ||w|| of 3.6e3 and 3.6e5
+    trace = sr.optimize(RotatedTfim(4, 1.5, 0.3), SrConfig(eta=eta, n_iter=60, seed=0))
+    assert not trace.converged
+    assert trace.abort_reason == f"divergence guard tripped at iteration {len(trace.energies) - 1}"
+    assert trace.param_norms[-1] > sr.DIVERGENCE_FACTOR * max(trace.param_norms[0], 1.0)
+
+
 def test_working_set_estimate_at_the_largest_size():
     L, M = 24, rbm.n_hidden(24, 4.0)
     # arrays of 2^L rows: s_hat, tanh theta, the complex log Psi, psi, H psi
