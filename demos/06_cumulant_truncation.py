@@ -25,7 +25,7 @@ print(f"{'rank':>4} {'bitmask':>9} {'order':>5} {'|c_A|':>10}")
 for rank in range(10):
     mask = ranking[rank]
     print(f"{rank:4d} {mask:09b} {orders[mask]:5d} "
-          f"{abs(coeffs.c[mask]):10.4f}")
+          f"{abs(coeffs[mask]):10.4f}")
 
 # train an RBM on the same problem and compare truncation curves
 cfg = SrConfig(eta=0.01, n_iter=300, seed=7, alpha=1.0)

@@ -4,10 +4,12 @@ log Psi(s) = sum_A c_A S_A(s), where A runs over subset bitmasks and
 S_A(s) = prod_{i in A} s_i is a monomial of +-1 spin variables. The
 coefficients are the Walsh-Hadamard transform of log Psi up to a per-order
 sign: S_A(s) = (-1)^|A| (-1)^{A.b} for the bit vector b of s, so
-c_A = (-1)^|A| fwht(log Psi)[A] / 2^L.
+c_A = (-1)^|A| fwht(log Psi)[A] / 2^L. They are held as a plain (2^L,)
+complex array indexed by A, whose length gives L.
 
 Truncation keeps the N by-magnitude largest coefficients (not the lowest
-orders), re-exponentiates and renormalizes. An infidelity curve computes
+orders), re-exponentiates and renormalizes:
+reconstruct(c, magnitude_ranking(c)[:N]). An infidelity curve computes
 the coefficients, their ranking and the signed vector (-1)^|A| c_A once and
 keeps one masked copy of it; each N then costs one scatter of the entries
 kept or dropped since the previous N and one FWHT. For a complex signed
@@ -20,8 +22,6 @@ then share one FWHT, one in each plane of the masked vector, and each
 costs one real exp per amplitude. The curve values are the same bit for
 bit either way.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,18 +62,9 @@ def subset_orders(L: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << L, dtype=np.uint64)).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class CumulantCoefficients:
-    c: np.ndarray   # (2^L,) complex, indexed by subset bitmask
-    L: int
-
-    def __post_init__(self):
-        if self.c.shape != (1 << self.L,):
-            raise ValueError("coefficient vector length must be 2^L")
-
-
-def cumulant_coefficients(psi: np.ndarray) -> CumulantCoefficients:
-    """Expansion coefficients of log Psi for a phase-fixed state.
+def cumulant_coefficients(psi: np.ndarray) -> np.ndarray:
+    """Expansion coefficients c_A of log Psi for a phase-fixed state, as a
+    (2^L,) complex array indexed by subset bitmask A.
 
     Amplitudes below AMPLITUDE_FLOOR in magnitude are clamped before the
     log, so states with exact zeros give regularization-dependent results.
@@ -88,42 +79,27 @@ def cumulant_coefficients(psi: np.ndarray) -> CumulantCoefficients:
         raise ValueError("all amplitudes below the clamp floor")
     log_amp = np.log(np.maximum(mags, AMPLITUDE_FLOOR)) + 1j * np.angle(psi)
     signs = 1.0 - 2.0 * (subset_orders(L) & 1)
-    return CumulantCoefficients(signs * fwht(log_amp) / n, L)
+    return signs * fwht(log_amp) / n
 
 
-def reconstruct(coeffs: CumulantCoefficients, kept: np.ndarray | None = None) -> np.ndarray:
+def reconstruct(c: np.ndarray, kept: np.ndarray | None = None) -> np.ndarray:
     """exp(sum_{A in kept} c_A S_A(s)), normalized and phase-fixed.
 
     `kept` is an array of subset bitmasks; None keeps everything.
     """
-    c = coeffs.c
     if kept is not None:
         masked = np.zeros_like(c)
         masked[kept] = c[kept]
         c = masked
-    signs = 1.0 - 2.0 * (subset_orders(coeffs.L) & 1)
+    signs = 1.0 - 2.0 * (subset_orders(c.size.bit_length() - 1) & 1)
     log_amp = fwht(signs * c)
     amps = np.exp(log_amp - np.max(log_amp.real))
     return exact.fix_phase(exact.normalize(amps))
 
 
-def magnitude_ranking(coeffs: CumulantCoefficients) -> np.ndarray:
+def magnitude_ranking(c: np.ndarray) -> np.ndarray:
     """Subset bitmasks ordered by descending |c_A|, ties by ascending mask."""
-    return np.argsort(-np.abs(coeffs.c), kind="stable")
-
-
-@dataclass(frozen=True)
-class TruncationResult:
-    kept: np.ndarray       # bitmasks of the N largest coefficients
-    state: np.ndarray      # reconstructed, normalized, phase-fixed
-
-
-def truncate(coeffs: CumulantCoefficients, n_keep: int) -> TruncationResult:
-    """Keep the n_keep by-magnitude largest coefficients and re-exponentiate."""
-    if not 1 <= n_keep <= coeffs.c.size:
-        raise ValueError(f"n_keep={n_keep} outside [1, {coeffs.c.size}]")
-    kept = magnitude_ranking(coeffs)[:n_keep]
-    return TruncationResult(kept, reconstruct(coeffs, kept))
+    return np.argsort(-np.abs(c), kind="stable")
 
 
 def default_n_grid(L: int, n_points: int = 200) -> np.ndarray:
@@ -150,8 +126,7 @@ def infidelity_curve(source: np.ndarray, reference: np.ndarray, ns) -> list:
     """
     source, reference = np.asarray(source), np.asarray(reference, dtype=complex)
     exact.check_state_pair(source, reference)
-    coeffs = cumulant_coefficients(exact.fix_phase(exact.normalize(source)))
-    c = coeffs.c
+    c = cumulant_coefficients(exact.fix_phase(exact.normalize(source)))
     ns = [int(n) for n in ns]
     for n in ns:
         if not 1 <= n <= c.size:
@@ -159,8 +134,8 @@ def infidelity_curve(source: np.ndarray, reference: np.ndarray, ns) -> list:
     ref_norm = np.linalg.norm(reference)
     if ref_norm == 0:
         raise ValueError("infidelity undefined for a zero vector")
-    ranking = magnitude_ranking(coeffs)
-    signed = (1.0 - 2.0 * (subset_orders(coeffs.L) & 1)) * c
+    ranking = magnitude_ranking(c)
+    signed = (1.0 - 2.0 * (subset_orders(c.size.bit_length() - 1) & 1)) * c
     masked = np.zeros_like(c)
     if np.any(signed.imag):
         planes, values = (masked,), signed
@@ -220,17 +195,17 @@ def _truncation_infidelity(log_a, reference, ref_norm, buffers) -> float:
     return float(max(0.0, 1.0 - overlap**2))
 
 
-def coefficient_relative_errors(c_model: CumulantCoefficients, c_exact: CumulantCoefficients):
+def coefficient_relative_errors(c_model: np.ndarray, c_exact: np.ndarray):
     """Per-coefficient relative errors ranked by descending |c_exact|.
 
     Returns (ranked bitmasks, errors); entries where |c_exact| < COEFF_FLOOR
     are NaN (relative error undefined).
     """
-    if c_model.L != c_exact.L:
+    if c_model.shape != c_exact.shape:
         raise ValueError("coefficient sets live on different chains")
     ranking = magnitude_ranking(c_exact)
-    ref = np.abs(c_exact.c[ranking])
-    err = np.abs(c_model.c[ranking] - c_exact.c[ranking])
+    ref = np.abs(c_exact[ranking])
+    err = np.abs(c_model[ranking] - c_exact[ranking])
     out = np.full(ref.shape, np.nan)
     ok = ref >= COEFF_FLOOR
     out[ok] = err[ok] / ref[ok]

@@ -54,9 +54,6 @@ def fix_phase(psi: np.ndarray) -> np.ndarray:
 class SpectrumSummary:
     energies: np.ndarray          # ascending, length k
     states: np.ndarray            # (2^L, k), normalized + phase-fixed columns
-    L: int
-    lam: float
-    theta: float
 
     @property
     def gap(self) -> float:
@@ -130,7 +127,7 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     states = np.empty((h.dim, k), dtype=complex)
     for j in range(k):
         states[:, j] = fix_phase(normalize(vecs[:, j]))
-    return SpectrumSummary(np.asarray(energies, dtype=float), states, h.L, h.lam, h.theta)
+    return SpectrumSummary(np.asarray(energies, dtype=float), states)
 
 
 def _lanczos(matvec, n: int, n_low: int, name: str):

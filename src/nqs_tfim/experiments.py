@@ -427,8 +427,8 @@ def _cumulant_point(cfg: ExperimentConfig, point_seed: int,
                    ["rank", "bitmask", "order", "re_c_exact", "im_c_exact",
                     "abs_c_exact", "re_c_rbm", "im_c_rbm", "abs_c_rbm", "rel_error"],
                    [[rank, int(mask), int(orders[mask]),
-                     c_exact.c[mask].real, c_exact.c[mask].imag, abs(c_exact.c[mask]),
-                     c_model.c[mask].real, c_model.c[mask].imag, abs(c_model.c[mask]),
+                     c_exact[mask].real, c_exact[mask].imag, abs(c_exact[mask]),
+                     c_model[mask].real, c_model[mask].imag, abs(c_model[mask]),
                      rel_err[rank]] for rank, mask in enumerate(ranking)])
     ckpt = out / f"rbm_{tag}.json"
     ckpt.write_text(rbm.to_json(best.trace.final_params,

@@ -25,7 +25,7 @@ applies H(theta) as 3L - 2 real 2x2 site maps, with no matrix, no term list
 and no `rotate`. So ED forms no full-size matrix of H(0) or H(theta).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,15 +43,18 @@ class RotatedTfim:
     L: int
     lam: float
     theta: float
-    terms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         hilbert.check_sites(self.L)
-        object.__setattr__(self, "terms", _build_terms(self.L, self.lam, self.theta))
 
     @property
     def dim(self) -> int:
         return 1 << self.L
+
+    @cached_property
+    def terms(self) -> tuple:
+        """The merged (x_mask, z_mask, coeff) Pauli strings of H(theta)."""
+        return _build_terms(self.L, self.lam, self.theta)
 
     @cached_property
     def elements(self) -> scipy.sparse.csr_array:
@@ -156,13 +159,6 @@ def row(h: RotatedTfim, s: int):
     return [(t, v) for t, v in sorted(out.items()) if abs(v) > COEFF_DROP_TOL]
 
 
-def dense_matrix(h: RotatedTfim) -> np.ndarray:
-    """Full 2^L x 2^L real symmetric matrix (L <= 14)."""
-    if h.L > DENSE_MAX_SITES:
-        raise ValueError(f"dense matrix refused for L={h.L} > {DENSE_MAX_SITES}")
-    return h.elements.toarray()
-
-
 def matvec(h: RotatedTfim, v: np.ndarray) -> np.ndarray:
     """H @ v from the cached CSR matrix, O(n_masks * 2^L).
 
@@ -235,17 +231,6 @@ def is_stoquastic(h: RotatedTfim) -> bool:
         raise ValueError(f"stoquasticity scan refused for L={h.L} > {DENSE_MAX_SITES}")
     m = h.elements.tocoo()
     return not np.any(m.data[m.row != m.col] > STOQUASTIC_TOL)
-
-
-def phase_amplitude_decomposition(h: RotatedTfim, s: int, sp: int):
-    """Write H_{s' s} = -|H| * exp(i Theta); returns (|H|, Theta).
-
-    Elements are real, so Theta is 0 (negative element) or pi (positive).
-    """
-    amp = dict(row(h, s)).get(sp)
-    if amp is None:
-        raise ValueError(f"H[{s},{sp}] is zero; phase undefined")
-    return abs(amp), (0.0 if amp < 0 else np.pi)
 
 
 def stoquastic_energy(h: RotatedTfim, amplitudes: np.ndarray) -> float:

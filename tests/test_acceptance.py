@@ -213,7 +213,7 @@ def test_11_jastrow_containment():
     log_psi = np.einsum("si,ij,sj->s", spins, J, spins)
     psi = exact.fix_phase(exact.normalize(np.exp(log_psi).astype(complex)))
     orders = cumulant.subset_orders(L)
-    c = cumulant.cumulant_coefficients(psi).c
+    c = cumulant.cumulant_coefficients(psi)
     off_pair = float(np.max(np.abs(c[(orders != 0) & (orders != 2)])))
     direct = cumulant.fwht(psi) / (1 << L)
     order4 = float(np.max(np.abs(direct[orders == 4])))

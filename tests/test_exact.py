@@ -17,7 +17,7 @@ def test_ground_states_l1():
 def test_ground_states_matches_dense_oracle():
     h = RotatedTfim(2, 1.0, 0.0)
     summary = exact.ground_states(h, k=1)
-    ref = np.linalg.eigvalsh(hamiltonian.dense_matrix(h))[0]
+    ref = np.linalg.eigvalsh(h.elements.toarray())[0]
     assert summary.energies[0] == pytest.approx(ref, abs=1e-12)
 
 
@@ -254,7 +254,7 @@ def test_sector_solve_matches_full_spectrum(L):
     for lam in (-1.5, -0.3, 0.0, 0.1, 1.0, 1.5):
         for theta in (0.0, 0.3, np.pi / 2):
             h = RotatedTfim(L, lam, theta)
-            ref = np.linalg.eigvalsh(hamiltonian.dense_matrix(h))
+            ref = np.linalg.eigvalsh(h.elements.toarray())
             for k in range(1, min(4, h.dim) + 1):
                 energies = exact.ground_states(h, k=k).energies
                 assert np.max(np.abs(energies - ref[:k])) < 1e-12, (lam, theta, k)
@@ -288,6 +288,6 @@ def test_ground_states_checks_k_before_solving(L, k):
 def test_ground_states_accepts_every_level():
     h = RotatedTfim(3, 0.8, 0.4)
     summary = exact.ground_states(h, k=8)
-    ref = np.linalg.eigvalsh(hamiltonian.dense_matrix(h))
+    ref = np.linalg.eigvalsh(h.elements.toarray())
     assert np.max(np.abs(summary.energies - ref)) < 1e-12
     assert np.allclose(summary.states.conj().T @ summary.states, np.eye(8), atol=1e-12)

@@ -49,38 +49,33 @@ def test_row_connectivity_bound(rng):
 
 
 def test_dense_l1_examples():
-    m = hamiltonian.dense_matrix(RotatedTfim(1, 1.0, 0.0))
+    m = RotatedTfim(1, 1.0, 0.0).elements.toarray()
     assert np.allclose(m, [[0, -1], [-1, 0]])
     # -lambda*sigma-z with bit set <-> s = +1: index 1 carries eigenvalue +1
-    m = hamiltonian.dense_matrix(RotatedTfim(1, 1.0, np.pi / 2))
+    m = RotatedTfim(1, 1.0, np.pi / 2).elements.toarray()
     assert np.allclose(m, [[1, 0], [0, -1]])
 
 
 def test_dense_l2_theta0():
-    m = hamiltonian.dense_matrix(RotatedTfim(2, 1.0, 0.0))
+    m = RotatedTfim(2, 1.0, 0.0).elements.toarray()
     assert np.allclose(np.diag(m), [-1, 1, 1, -1])
     assert np.allclose(m, kron_hamiltonian(2, 1.0, 0.0))
 
 
 def test_dense_matches_kron_oracle():
     for L, lam, theta in [(3, 1.5, 0.38 * np.pi), (4, 0.5, 0.46 * np.pi)]:
-        m = hamiltonian.dense_matrix(RotatedTfim(L, lam, theta))
+        m = RotatedTfim(L, lam, theta).elements.toarray()
         assert np.allclose(m, kron_hamiltonian(L, lam, theta), atol=1e-12)
 
 
 def test_dense_symmetric():
-    m = hamiltonian.dense_matrix(RotatedTfim(6, 1.2, 1.1))
+    m = RotatedTfim(6, 1.2, 1.1).elements.toarray()
     assert np.max(np.abs(m - m.T)) < 1e-12
-
-
-def test_dense_size_guard():
-    with pytest.raises(ValueError):
-        hamiltonian.dense_matrix(RotatedTfim(15, 1.0, 0.0))
 
 
 def test_matvec_matches_dense(rng):
     h = RotatedTfim(5, 0.8, 0.7)
-    m = hamiltonian.dense_matrix(h)
+    m = h.elements.toarray()
     v = rng.normal(size=32) + 1j * rng.normal(size=32)
     assert np.allclose(hamiltonian.matvec(h, v), m @ v)
 
@@ -97,7 +92,7 @@ def test_complex_matvec_is_bit_identical_to_two_real_products(rng):
 def test_apply_from_definition_matches_dense(L, rng):
     for lam, theta in [(1.5, 0.7), (0.5, 0.3), (-0.7, 1.1), (0.0, np.pi / 2)]:
         h = RotatedTfim(L, lam, theta)
-        m = hamiltonian.dense_matrix(h)
+        m = h.elements.toarray()
         v = rng.normal(size=(h.dim, 3))
         assert np.allclose(hamiltonian.apply_from_definition(h, v), m @ v, rtol=0, atol=1e-12)
         assert np.allclose(hamiltonian.apply_from_definition(h, v[:, 0]), m @ v[:, 0],
@@ -120,7 +115,7 @@ def test_element_table_matches_row_oracle(L, theta, rng):
     # at pi/2 and pi some expanded coefficients fall below COEFF_DROP_TOL
     h = RotatedTfim(L, 0.9, theta)
     m = row_oracle_matrix(h)
-    assert np.allclose(hamiltonian.dense_matrix(h), m, rtol=0, atol=1e-12)
+    assert np.allclose(h.elements.toarray(), m, rtol=0, atol=1e-12)
     psi = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
     hv = hamiltonian.matvec(h, psi)
     assert np.allclose(hv, m @ psi, rtol=0, atol=1e-12)
@@ -146,7 +141,7 @@ def test_dense_matrix_matches_per_term_accumulation():
     ref = np.zeros((h.dim, h.dim))
     for x_mask, z_mask, coeff in h.terms:
         ref[idx, idx ^ x_mask] += coeff * hilbert.parity_in_mask(idx, z_mask)
-    assert np.array_equal(hamiltonian.dense_matrix(h), ref)
+    assert np.array_equal(h.elements.toarray(), ref)
 
 
 def per_term_elements(h):
@@ -176,7 +171,7 @@ def test_element_table_is_bit_identical_to_per_term_build(L, theta):
 @pytest.mark.parametrize("L", [10, 12])
 def test_matvec_matches_dense_at_lanczos_sizes(L, rng):
     h = RotatedTfim(L, 1.1, 0.3)
-    m = hamiltonian.dense_matrix(h)
+    m = h.elements.toarray()
     v = rng.normal(size=h.dim)
     assert np.allclose(hamiltonian.matvec(h, v), m @ v, rtol=0, atol=1e-12)
     v = v + 1j * rng.normal(size=h.dim)
@@ -187,7 +182,7 @@ def test_matvec_matches_dense_at_lanczos_sizes(L, rng):
 @pytest.mark.parametrize("L", range(2, 9))
 def test_stoquastic_scans_match_dense_reference(L, theta, rng):
     h = RotatedTfim(L, 0.9, theta)
-    m = hamiltonian.dense_matrix(h)
+    m = h.elements.toarray()
     diag = np.diag(np.diag(m))
     off = m - diag
     assert hamiltonian.is_stoquastic(h) == bool(np.all(off <= 1e-12))
@@ -199,9 +194,9 @@ def test_stoquastic_scans_match_dense_reference(L, theta, rng):
 
 def test_spectrum_theta_invariant():
     for L in (2, 5, 8):
-        ref = np.linalg.eigvalsh(hamiltonian.dense_matrix(RotatedTfim(L, 1.3, 0.0)))
+        ref = np.linalg.eigvalsh(RotatedTfim(L, 1.3, 0.0).elements.toarray())
         for theta in (0.1 * np.pi, 0.25 * np.pi, 0.5 * np.pi, np.pi):
-            ev = np.linalg.eigvalsh(hamiltonian.dense_matrix(RotatedTfim(L, 1.3, theta)))
+            ev = np.linalg.eigvalsh(RotatedTfim(L, 1.3, theta).elements.toarray())
             assert np.max(np.abs(ev - ref)) < 1e-10
 
 
@@ -214,8 +209,8 @@ def test_theta_pi_half_is_hadamard_conjugation():
         hd = np.eye(1)
         for _ in range(L):
             hd = np.kron(hd, hd1)
-        m0 = hamiltonian.dense_matrix(RotatedTfim(L, 0.9, 0.0))
-        m1 = hamiltonian.dense_matrix(RotatedTfim(L, 0.9, np.pi / 2))
+        m0 = RotatedTfim(L, 0.9, 0.0).elements.toarray()
+        m1 = RotatedTfim(L, 0.9, np.pi / 2).elements.toarray()
         assert np.allclose(m1, hd @ m0 @ hd, atol=1e-12)
 
 
@@ -225,24 +220,6 @@ def test_is_stoquastic_cases():
     assert not hamiltonian.is_stoquastic(RotatedTfim(4, 1.5, np.pi))
     # at lambda = 1.0 the bond cross-terms beat the field term away from 0, pi/2
     assert not hamiltonian.is_stoquastic(RotatedTfim(4, 1.0, 0.25 * np.pi))
-
-
-def test_phase_amplitude_decomposition():
-    h = RotatedTfim(2, 1.0, 0.0)
-    mag, phase = hamiltonian.phase_amplitude_decomposition(h, 0b11, 0b01)
-    assert (mag, phase) == (pytest.approx(1.0), 0.0)
-    mag, phase = hamiltonian.phase_amplitude_decomposition(h, 0b11, 0b11)
-    assert (mag, phase) == (pytest.approx(1.0), 0.0)
-
-    # theta=pi flips the sign of every single-flip element
-    h_pi = RotatedTfim(2, 1.5, np.pi)
-    elem = dict(hamiltonian.row(h_pi, 0b11))[0b01]
-    mag, phase = hamiltonian.phase_amplitude_decomposition(h_pi, 0b11, 0b01)
-    assert -mag * np.cos(phase) == pytest.approx(elem)
-    assert phase == pytest.approx(np.pi)
-
-    with pytest.raises(ValueError):
-        hamiltonian.phase_amplitude_decomposition(RotatedTfim(3, 1.0, 0.0), 0b000, 0b011)
 
 
 def test_stoquastic_energy_uniform_l1():
@@ -314,12 +291,12 @@ def test_parity_commutes_and_labels_doublet():
 
 @pytest.mark.parametrize("L", range(1, 7))
 def test_rotation_maps_unrotated_chain_to_rotated(L):
-    h0 = hamiltonian.dense_matrix(RotatedTfim(L, 0.7, 0.0))
+    h0 = RotatedTfim(L, 0.7, 0.0).elements.toarray()
     for theta in (0.3, np.pi / 2, 2.5):
         h = RotatedTfim(L, 0.7, theta)
         v = hamiltonian.rotate(h, np.eye(h.dim))
         assert np.allclose(v @ v.T, np.eye(h.dim), atol=1e-14)
-        assert np.max(np.abs(v @ h0 @ v.T - hamiltonian.dense_matrix(h))) < 1e-13
+        assert np.max(np.abs(v @ h0 @ v.T - h.elements.toarray())) < 1e-13
 
 
 def test_rotate_acts_on_each_column_alike(rng):
@@ -358,7 +335,7 @@ def dense_sector_blocks(h):
 @pytest.mark.parametrize("theta", [0.0, 0.3])
 def test_parity_sectors_are_dense_projections(L, theta):
     h = RotatedTfim(L, 0.9, theta)
-    h0 = hamiltonian.dense_matrix(RotatedTfim(L, 0.9, 0.0))
+    h0 = RotatedTfim(L, 0.9, 0.0).elements.toarray()
     for sign, block in zip((1, -1), dense_sector_blocks(h)):
         p = parity_projector(L, sign)
         assert block.shape == (h.dim // 2, h.dim // 2)
