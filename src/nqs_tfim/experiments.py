@@ -1,8 +1,9 @@
 """Batch experiment drivers: grids, deterministic seeds, CSV/JSON emission.
 
 Each runner walks, in order, the grid of a range-checked ExperimentConfig:
-an `itertools.product` of (L, lambda, theta, alpha) in which the axes a
-kind does not sweep keep their first value. Point p gets seed
+an `itertools.product` of (L, lambda, theta, alpha). SWEPT_AXES names the
+axes each kind sweeps; the config refuses a second value on any other
+axis, so none is dropped. Point p gets seed
 SeedSequence([master, p]) and its realization i SeedSequence([point_seed,
 i]) (see sr.derive_seed). A point that raises is counted and logged as one
 WARNING record with its traceback, "<kind> grid point (L, lambda, theta,
@@ -72,8 +73,12 @@ class ExperimentConfig:
             if value is not None and value < low:
                 raise _out_of_range(name, f"must be >= {low}, got {value}")
         for name in ("L", "lam", "theta", "alpha"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise _out_of_range(name, "needs at least one value")
+            if len(values) > 1 and name not in SWEPT_AXES[self.kind]:
+                raise _out_of_range(name, f"takes one value, since {self.kind} does not "
+                                          f"sweep it; got {values}")
         for L, alpha in itertools.product(self.L, self.alpha):
             if not 1 <= L <= exact.SOLVER_MAX_SITES:
                 raise _out_of_range("L", f"must be in [1, {exact.SOLVER_MAX_SITES}], got {L}")
@@ -81,6 +86,18 @@ class ExperimentConfig:
                 rbm.n_hidden(L, alpha)
             except ValueError as err:   # M < 1
                 raise ValueError(f"{err} (config key {FIELD_KEYS['alpha']})") from err
+
+
+# The config axes each kind sweeps (README, "swept axes"); every other axis
+# holds one value. pi-compare sweeps none: it always runs theta = 0 and pi.
+SWEPT_AXES = {
+    "phase-diagram": ("L", "lam", "theta"),
+    "degeneracy": ("theta",),
+    "pi-compare": (),
+    "uniformity": ("lam", "theta"),
+    "cumulant": ("theta", "alpha"),
+    "size-scaling": ("L", "theta"),
+}
 
 
 def _out_of_range(name: str, problem: str) -> ValueError:
@@ -239,11 +256,15 @@ class ResultIndex:
 # ---------------------------------------------------------------------------
 # the grid-point pipeline
 
-def _sweep(cfg: ExperimentConfig, kind: str, points, solve):
-    """Call solve(sr.derive_seed(cfg.seed, p), *point) at each grid point p in
-    order; return the results of the points that succeeded and how many raised."""
+def _sweep(cfg: ExperimentConfig, kind: str, solve):
+    """Call solve(sr.derive_seed(cfg.seed, p), L, lam, theta, alpha) at each
+    point p of the grid in order; return the results of the points that
+    succeeded and how many raised. The grid is the product of the config's
+    four axes, every axis the kind does not sweep holding one value
+    (SWEPT_AXES), and pi-compare's theta axis is (0, pi)."""
+    thetas = [0.0, np.pi] if kind == "pi-compare" else cfg.theta
     results, failures = [], 0
-    for p, point in enumerate(points):
+    for p, point in enumerate(itertools.product(cfg.L, cfg.lam, thetas, cfg.alpha)):
         try:
             results.append(solve(sr.derive_seed(cfg.seed, p), *point))
         except Exception as err:  # record and continue the sweep
@@ -311,8 +332,7 @@ def run_phase_diagram(cfg: ExperimentConfig) -> int:
         return [L, lam, theta, summary.energies[0], summary.energies[1],
                 summary.gap, int(summary.near_degenerate)]
 
-    rows, failures = _sweep(cfg, "phase-diagram", itertools.product(
-        cfg.L, cfg.lam, cfg.theta, cfg.alpha[:1]), point)
+    rows, failures = _sweep(cfg, "phase-diagram", point)
     _write_run(cfg, "phase-diagram", [
         ("phase_diagram.csv",
          ["L", "lambda", "theta", "E0", "E1", "gap", "near_degenerate"], rows),
@@ -336,8 +356,7 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> int:
             f"sorted_probs_L{L}_lam{lam:g}_theta{theta:.6f}.csv"), psi)
         return point_row, real_rows, probs
 
-    results, failures = _sweep(cfg, "degeneracy", itertools.product(
-        cfg.L[:1], cfg.lam[:1], cfg.theta, cfg.alpha[:1]), point)
+    results, failures = _sweep(cfg, "degeneracy", point)
     _write_run(cfg, "degeneracy", [
         ("degeneracy_points.csv",
          ["L", "lambda", "theta", "E0", "gap", "sign_psi",
@@ -360,8 +379,7 @@ def run_pi_rotation_compare(cfg: ExperimentConfig) -> int:
         return theta, rows, amps, summary.energies[0], best.trace.final_params
 
     L, lam = cfg.L[0], cfg.lam[0]
-    results, failures = _sweep(cfg, "pi-compare", itertools.product(
-        [L], [lam], [0.0, np.pi], cfg.alpha[:1]), point)
+    results, failures = _sweep(cfg, "pi-compare", point)
     mapped_energy = float("nan")
     for theta, _, _, _, w in results:
         if theta == 0.0:
@@ -388,8 +406,7 @@ def run_uniformity_sweep(cfg: ExperimentConfig) -> int:
                     sign_exact, summary.gap, eta]
         return rows, best_row
 
-    results, failures = _sweep(cfg, "uniformity", itertools.product(
-        cfg.L[:1], cfg.lam, cfg.theta, cfg.alpha[:1]), point)
+    results, failures = _sweep(cfg, "uniformity", point)
     _write_run(cfg, "uniformity", [
         ("uniformity_realizations.csv",
          ["L", "lambda", "theta", "alpha", *REALIZATION_COLUMNS, "sign_exact"],
@@ -439,15 +456,13 @@ def _cumulant_point(cfg: ExperimentConfig, point_seed: int,
 
 
 def run_cumulant_analysis(cfg: ExperimentConfig) -> int:
-    records, failures = _sweep(cfg, "cumulant", itertools.product(
-        cfg.L[:1], cfg.lam[:1], cfg.theta, cfg.alpha), functools.partial(_cumulant_point, cfg))
+    records, failures = _sweep(cfg, "cumulant", functools.partial(_cumulant_point, cfg))
     _write_run(cfg, "cumulant", [], records)
     return failures
 
 
 def run_size_scaling(cfg: ExperimentConfig) -> int:
-    records, failures = _sweep(cfg, "size-scaling", itertools.product(
-        cfg.L, cfg.lam[:1], cfg.theta, cfg.alpha[:1]), functools.partial(_cumulant_point, cfg))
+    records, failures = _sweep(cfg, "size-scaling", functools.partial(_cumulant_point, cfg))
     _write_run(cfg, "size-scaling", [], records)
     return failures
 

@@ -225,6 +225,25 @@ def test_pi_compare_config_may_not_set_theta(tmp_path):
                                 kind="pi-compare")
 
 
+TWO_VALUES = {"L": [3, 4], "lam": [0.5, 1.5], "theta": [0.0, 0.3], "alpha": [1.0, 2.0]}
+
+
+def test_swept_axes_name_every_kind():
+    assert set(experiments.SWEPT_AXES) == set(KINDS)
+    for axes in experiments.SWEPT_AXES.values():
+        assert set(axes) <= set(TWO_VALUES)
+
+
+@pytest.mark.parametrize("kind, axis", [
+    (kind, axis) for kind in KINDS for axis in TWO_VALUES
+    if axis not in experiments.SWEPT_AXES[kind]])
+def test_config_refuses_a_second_value_on_an_axis_the_kind_does_not_sweep(
+        tmp_path, kind, axis):
+    with pytest.raises(ValueError, match=re.escape(
+            f"(config key {experiments.FIELD_KEYS[axis]})")):
+        tiny_config(kind, tmp_path, **{axis: TWO_VALUES[axis]})
+
+
 # -------------------------------------------------------------------- runners
 
 def test_phase_diagram_runner(tmp_path):
