@@ -1,0 +1,22 @@
+"""One round of each benchmark workload (perfbench/workloads.py), checked
+by the workload's own output checks, so a change to the package calls the
+benchmark makes (ground_states with k = 2, the SR trace, infidelity_curve,
+cli.main and its YAML keys) fails here and not only in a benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path[:0] = [str(PERFBENCH), str(PERFBENCH.parent / "src")]
+
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_one_round_runs_and_passes_its_checks(tmp_path, name):
+    rnd = workloads.WORKLOADS[name](1, tmp_path).run_round()
+    assert rnd.attempted > 0
+    assert rnd.failed == 0, "\n".join(rnd.errors)
