@@ -32,8 +32,11 @@ REAL_STATE_TOL = 1e-8
 
 
 def normalize(psi: np.ndarray) -> np.ndarray:
+    """psi / ||psi||. The norm is summed by numpy's pairwise sums, not by
+    BLAS, whose dot products split long vectors over threads, so the
+    result does not depend on the BLAS thread count."""
     psi = np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(psi)
+    norm = np.sqrt(np.sum(psi.real**2) + np.sum(psi.imag**2))
     if norm == 0:
         raise ValueError("cannot normalize a zero vector")
     return psi / norm

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nqs_tfim
-from nqs_tfim import _blas, experiments, rbm, sr
+from nqs_tfim import _blas, exact, experiments, rbm, sr
 from nqs_tfim.hamiltonian import RotatedTfim
 
 BLAS_THREAD_VARS = (
@@ -86,6 +86,29 @@ def test_sr_energies_do_not_depend_on_thread_count_over_several_blocks():
         for name, (setter, _) in libs.items():
             setter(before[name])
     assert np.array_equal(energies[1], energies[2])
+
+
+def test_states_at_l14_do_not_depend_on_thread_count():
+    # the norm of a 2^14-entry state; a BLAS dot product splits it over threads
+    libs = _blas.openblas_libraries()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded in this environment")
+    h = RotatedTfim(14, 1.5, 0.3)
+    rng = np.random.default_rng(5)
+    w = rbm.RbmParameters(*(0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                            for shape in ((14,), (14,), (14, 14))))
+    before = {name: get() for name, (_, get) in libs.items()}
+    states = {}
+    try:
+        for n in (2, 1):
+            for setter, _ in libs.values():
+                setter(n)
+            states[n] = exact.ground_states(h).states, rbm.full_state_vector(w)
+    finally:
+        for name, (setter, _) in libs.items():
+            setter(before[name])
+    for at_one, at_two in zip(states[1], states[2]):
+        assert np.array_equal(at_one, at_two)
 
 
 def test_result_index_reads_thread_counts_without_probing_again(tmp_path, monkeypatch):
