@@ -9,6 +9,8 @@ above that, up to SOLVER_MAX_SITES, applied as A v +- b * v[::-1] by
 at most LANCZOS_BASIS vectors, and deflation for more than one level. The
 residual check applies H(theta) from its definition
 (`hamiltonian.apply_from_definition`), so no matrix of H(theta) is built.
+The states are the columns of a Fortran-ordered array: each is contiguous,
+so what reads `states[:, j]` sums it in the same order whatever k is.
 """
 
 from dataclasses import dataclass
@@ -56,7 +58,7 @@ def fix_phase(psi: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SpectrumSummary:
     energies: np.ndarray          # ascending, length k
-    states: np.ndarray            # (2^L, k), normalized + phase-fixed columns
+    states: np.ndarray            # (2^L, k), normalized + phase-fixed contiguous columns
 
     @property
     def gap(self) -> float:
@@ -84,7 +86,8 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     (u, +-u reversed) and rotated by V(theta). The real rotated vectors,
     normalized, are checked against H(theta) by their residuals, all k at
     once and with no matrix (`hamiltonian.apply_from_definition`); then
-    each is normalized as a complex vector and phase-fixed. In the
+    each is normalized as a complex vector, phase-fixed and stored as a
+    contiguous column, so a column's bits do not depend on k. In the
     (near-)degenerate ferromagnet the two states are therefore parity
     eigenstates, not a rounding-dependent mix. k must lie in [1, 2^L], and
     below 2^(L-1) where Lanczos is used (k <= 511 at L = 10).
@@ -127,7 +130,7 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     if bad.size:
         j = bad[0]
         raise RuntimeError(f"eigenpair {j} residual {res[j]:.2e} exceeds {EIG_RESIDUAL_TOL}")
-    states = np.empty((h.dim, k), dtype=complex)
+    states = np.empty((h.dim, k), dtype=complex, order="F")   # contiguous columns
     for j in range(k):
         states[:, j] = fix_phase(normalize(vecs[:, j]))
     return SpectrumSummary(np.asarray(energies, dtype=float), states)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from nqs_tfim import exact, hamiltonian
+from nqs_tfim import cumulant, exact, hamiltonian, rbm
 from nqs_tfim.hamiltonian import RotatedTfim
 
 
@@ -44,6 +44,22 @@ def test_lanczos_states_repeat_bit_for_bit():
     s_a, s_b = exact.ground_states(h), exact.ground_states(h)
     assert np.array_equal(s_a.energies, s_b.energies)
     assert np.array_equal(s_a.states, s_b.states)
+
+
+@pytest.mark.parametrize("L", [4, 5, 6, 8])
+def test_ed_columns_do_not_depend_on_k(L):
+    # each state is a contiguous column, so what reads it sums in the same
+    # order whatever k is
+    phi = rbm.full_state_vector(rbm.init_random(L, 1.0, seed=L, scale=0.3))
+    ns = cumulant.default_n_grid(L)
+    for theta in np.linspace(0.05, 1.5, 8):
+        h = RotatedTfim(L, 1.5, theta)
+        curves = []
+        for k in (1, 2):
+            states = exact.ground_states(h, k).states
+            assert states.flags.f_contiguous
+            curves.append(cumulant.infidelity_curve(phi, states[:, 0], ns))
+        assert curves[0] == curves[1], theta
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3])
