@@ -56,6 +56,12 @@ array of block or n_var^2 size other than that copy of S; the state
 vectors of _born_energy (psi, p, E_loc) are still allocated per iteration.
 The parameters stay in one flat vector that the RbmParameters of each
 step views. expectations takes a fresh set of buffers per call.
+
+run_all is the one loop that runs optimize over a list of configs: it
+returns one Run (config, trace, final state) per config and the best of
+them, the lowest final energy among the runs that completed.
+hyperparameter_search (trials with random eta) and multi_seed_run
+(realizations with fanned-out seeds) only build its config list.
 """
 
 import functools
@@ -102,7 +108,7 @@ class OptimizationTrace:
     grad_norms: np.ndarray
     param_norms: np.ndarray
     final_params: RbmParameters   # the last set evaluated, whose energy is energies[-1]
-    converged: bool
+    converged: bool               # the run did not abort; it tests no convergence
     abort_reason: str | None = None
 
     @property
@@ -462,12 +468,6 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    config: SrConfig
-    trace: OptimizationTrace
-
-
 def _lowest(energies) -> int | None:
     """Index of the lowest finite energy, None if none is finite. Energies
     within ENERGY_TIE_RTOL (relative) of the lowest count as equal, and the
@@ -481,60 +481,63 @@ def _lowest(energies) -> int | None:
     return int(np.flatnonzero(finite & (e <= e_min + ENERGY_TIE_RTOL * abs(e_min)))[0])
 
 
-def _lowest_completed(traces) -> int | None:
-    """_lowest over the final energies of the runs that did not abort."""
-    return _lowest([t.final_energy.real if t.converged else np.nan for t in traces])
+@dataclass(frozen=True)
+class Run:
+    """One SR run: its config, its trace and the normalized, phase-fixed
+    state of its final parameters."""
+    config: SrConfig
+    trace: OptimizationTrace
+    state: np.ndarray
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
+
+    @property
+    def energy(self) -> float:
+        return self.trace.final_energy.real
 
 
-def hyperparameter_search(h: RotatedTfim, trials: int, seed: int, base: SrConfig) -> TrialResult:
-    """Random search over the learning rate, lowest final energy wins.
+def run_all(h: RotatedTfim, configs) -> tuple[list, Run]:
+    """optimize at each config in order; returns (runs, best).
 
-    eta is sampled uniformly in ETA_SEARCH_RANGE. Only trials that completed
-    with a finite final energy compete, ties within ENERGY_TIE_RTOL go to
-    the first trial; RuntimeError if no trial competes.
+    best has the lowest finite final energy among the runs that completed,
+    the first one among ties within ENERGY_TIE_RTOL; aborted runs stay in
+    the list. RuntimeError, naming each run's eta and outcome, if no run
+    qualifies.
+    """
+    runs = []
+    for cfg in configs:
+        trace = optimize(h, cfg)
+        runs.append(Run(cfg, trace, rbm.full_state_vector(trace.final_params)))
+    best = _lowest([r.energy if r.trace.converged else np.nan for r in runs])
+    if best is None:
+        outcomes = [(r.config.eta, r.trace.abort_reason or "non-finite final energy")
+                    for r in runs]
+        raise RuntimeError(f"none of {len(runs)} runs completed with a finite "
+                           f"final energy: {outcomes}")
+    return runs, runs[best]
+
+
+def hyperparameter_search(h: RotatedTfim, trials: int, seed: int, base: SrConfig) -> Run:
+    """Random search over the learning rate; returns the best trial of
+    run_all.
+
+    Trial t takes eta uniform in ETA_SEARCH_RANGE from one generator seeded
+    with `seed`, drawn in trial order, and the seed derive_seed(seed, t).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    results = []
-    for t in range(trials):
-        cfg = replace(base, eta=float(rng.uniform(*ETA_SEARCH_RANGE)), seed=derive_seed(seed, t))
-        results.append(TrialResult(cfg, optimize(h, cfg)))
-    best = _lowest_completed([r.trace for r in results])
-    if best is None:
-        failures = [(r.config.eta, r.trace.abort_reason or "non-finite final energy")
-                    for r in results]
-        raise RuntimeError(f"all {trials} trials diverged: {failures}")
-    return results[best]
-
-
-@dataclass(frozen=True)
-class Realization:
-    seed: int
-    trace: OptimizationTrace
-    state: np.ndarray
-    energy: float
+    configs = [replace(base, eta=float(rng.uniform(*ETA_SEARCH_RANGE)), seed=derive_seed(seed, t))
+               for t in range(trials)]
+    return run_all(h, configs)[1]
 
 
 def multi_seed_run(h: RotatedTfim, cfg: SrConfig, n_realizations: int):
-    """Independent restarts with seeds fanned out from cfg.seed.
-
-    Returns (realizations, best), where best is chosen as in
-    hyperparameter_search: the lowest finite final energy among the runs
-    that completed, the first one among ties within ENERGY_TIE_RTOL;
-    RuntimeError if no realization qualifies. Aborted runs stay in the
-    list.
-    """
+    """Independent restarts with seeds fanned out from cfg.seed; returns
+    run_all's (runs, best)."""
     if n_realizations < 1:
         raise ValueError("need at least one realization")
-    out = []
-    for i in range(n_realizations):
-        run_cfg = replace(cfg, seed=derive_seed(cfg.seed, i))
-        trace = optimize(h, run_cfg)
-        state = rbm.full_state_vector(trace.final_params)
-        out.append(Realization(run_cfg.seed, trace, state, trace.final_energy.real))
-    best = _lowest_completed([r.trace for r in out])
-    if best is None:
-        raise RuntimeError(
-            f"none of {n_realizations} realizations completed with a finite energy")
-    return out, out[best]
+    return run_all(h, [replace(cfg, seed=derive_seed(cfg.seed, i))
+                       for i in range(n_realizations)])
