@@ -5,12 +5,15 @@ an `itertools.product` of (L, lambda, theta, alpha). SWEPT_AXES names the
 axes each kind sweeps; the config refuses a second value on any other
 axis, so none is dropped. Point p gets seed
 SeedSequence([master, p]) and its realization i SeedSequence([point_seed,
-i]) (see sr.derive_seed). A point that raises is counted and logged as one
-WARNING record with its traceback, "<kind> grid point (L, lambda, theta,
-alpha) failed: <error>", and the sweep goes on. At the end the runner
-writes tidy CSV files (the column schemas below are the interface; plotting
-is out of scope) and appends to `index.json` one record per run, or one per
-point that succeeded for cumulant and size-scaling.
+i]) (see sr.derive_seed). A training point solves ED for the two lowest
+states and then runs its search trials, if any, and its realizations
+through sr.run_all (_solve_and_train). A point that raises is counted
+and logged as one WARNING record with its traceback, "<kind> grid point
+(L, lambda, theta, alpha) failed: <error>", and the sweep goes on. At the
+end the runner writes tidy CSV files (the column schemas below are the
+interface; plotting is out of scope) and appends to `index.json` one
+record per run, or one per point that succeeded for cumulant and
+size-scaling.
 """
 
 import csv
@@ -285,13 +288,13 @@ def _write_run(cfg: ExperimentConfig, kind: str, tables, records):
     index.flush()
 
 
-def _solve_and_train(cfg: ExperimentConfig, point_seed: int, k: int,
+def _solve_and_train(cfg: ExperimentConfig, point_seed: int,
                      L: int, lam: float, theta: float, alpha: float):
-    """ED for the k lowest states and n_realizations RBMs trained at one grid
-    point, after a learning-rate search if search_trials is set; returns
-    (summary, runs, best, eta)."""
+    """ED for the two lowest states and n_realizations RBMs trained at one
+    grid point, after a learning-rate search if search_trials is set;
+    returns (summary, runs, best), sr.multi_seed_run's runs and best."""
     h = RotatedTfim(L, lam, theta)
-    summary = exact.ground_states(h, k=k)
+    summary = exact.ground_states(h, k=2)
     base = SrConfig(eta=0.02 if cfg.eta is None else cfg.eta,   # the search sets eta if None
                     epsilon=cfg.epsilon, n_iter=cfg.n_iter, seed=point_seed,
                     alpha=alpha, init_scale=cfg.init_scale)
@@ -300,7 +303,7 @@ def _solve_and_train(cfg: ExperimentConfig, point_seed: int, k: int,
         best_trial = sr.hyperparameter_search(h, cfg.search_trials, point_seed, search_base)
         base = replace(base, eta=best_trial.config.eta)
     runs, best = sr.multi_seed_run(h, base, cfg.n_realizations)
-    return summary, runs, best, base.eta
+    return summary, runs, best
 
 
 REALIZATION_COLUMNS = ["seed", "is_best", "E_var", "rel_energy_error", "infidelity"]
@@ -343,7 +346,7 @@ def run_phase_diagram(cfg: ExperimentConfig) -> int:
 
 def run_degeneracy_study(cfg: ExperimentConfig) -> int:
     def point(seed, L, lam, theta, alpha):
-        summary, runs, best, eta = _solve_and_train(cfg, seed, 2, L, lam, theta, alpha)
+        summary, runs, best = _solve_and_train(cfg, seed, L, lam, theta, alpha)
         psi, psi1 = summary.states[:, 0], summary.states[:, 1]
         plus, minus = exact.degenerate_superpositions(psi, psi1)
         real_rows = [[L, lam, theta, alpha, *_realization_columns(r, best, summary),
@@ -351,7 +354,7 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> int:
                       *(abs(np.vdot(v, r.state)) ** 2 for v in (psi, plus, minus))]
                      for r in runs]
         point_row = [L, lam, theta, summary.energies[0], summary.gap,
-                     *map(_safe_sign_average, (psi, plus, minus)), eta]
+                     *map(_safe_sign_average, (psi, plus, minus)), best.config.eta]
         probs = _write_sorted_probabilities(Path(cfg.out_dir) / (
             f"sorted_probs_L{L}_lam{lam:g}_theta{theta:.6f}.csv"), psi)
         return point_row, real_rows, probs
@@ -372,7 +375,7 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> int:
 
 def run_pi_rotation_compare(cfg: ExperimentConfig) -> int:
     def point(seed, L, lam, theta, alpha):
-        summary, runs, best, _ = _solve_and_train(cfg, seed, 1, L, lam, theta, alpha)
+        summary, runs, best = _solve_and_train(cfg, seed, L, lam, theta, alpha)
         rows = [[L, lam, theta, *_realization_columns(r, best, summary)] for r in runs]
         amps = _write_sorted_probabilities(
             Path(cfg.out_dir) / f"sorted_amplitudes_theta{theta:.6f}.csv", best.state)
@@ -398,12 +401,12 @@ def run_pi_rotation_compare(cfg: ExperimentConfig) -> int:
 
 def run_uniformity_sweep(cfg: ExperimentConfig) -> int:
     def point(seed, L, lam, theta, alpha):
-        summary, runs, best, eta = _solve_and_train(cfg, seed, 2, L, lam, theta, alpha)
+        summary, runs, best = _solve_and_train(cfg, seed, L, lam, theta, alpha)
         sign_exact = _safe_sign_average(summary.states[:, 0])
         rows = [[L, lam, theta, alpha, *_realization_columns(r, best, summary), sign_exact]
                 for r in runs]
         best_row = [L, lam, theta, alpha, *_realization_columns(best, best, summary)[2:],
-                    sign_exact, summary.gap, eta]
+                    sign_exact, summary.gap, best.config.eta]
         return rows, best_row
 
     results, failures = _sweep(cfg, "uniformity", point)
@@ -424,7 +427,7 @@ def _cumulant_point(cfg: ExperimentConfig, point_seed: int,
     """Cumulant comparison at one grid point: writes the best RBM's checkpoint
     and the point's curve and coefficient tables; returns its index record."""
     out = Path(cfg.out_dir)
-    summary, runs, best, eta = _solve_and_train(cfg, point_seed, 1, L, lam, theta, alpha)
+    summary, _, best = _solve_and_train(cfg, point_seed, L, lam, theta, alpha)
     psi = summary.states[:, 0]
     key = {"L": L, "lambda": lam, "theta": theta, "alpha": alpha}
 
@@ -449,9 +452,9 @@ def _cumulant_point(cfg: ExperimentConfig, point_seed: int,
                      rel_err[rank]] for rank, mask in enumerate(ranking)])
     ckpt = out / f"rbm_{tag}.json"
     ckpt.write_text(rbm.to_json(best.trace.final_params,
-                                meta={**key, "seed": best.seed, "eta": eta}))
+                                meta={**key, "seed": best.seed, "eta": best.config.eta}))
     *_, rel_energy_error, rbm_infidelity = _realization_columns(best, best, summary)
-    return key, {"n_var": n_var, "eta": eta, "rbm_infidelity": rbm_infidelity,
+    return key, {"n_var": n_var, "eta": best.config.eta, "rbm_infidelity": rbm_infidelity,
                  "rel_energy_error": rel_energy_error}, [a1, a2, ckpt]
 
 

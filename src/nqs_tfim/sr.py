@@ -57,11 +57,9 @@ vectors of _born_energy (psi, p, E_loc) are still allocated per iteration.
 The parameters stay in one flat vector that the RbmParameters of each
 step views. expectations takes a fresh set of buffers per call.
 
-run_all is the one loop that runs optimize over a list of configs: it
-returns one Run (config, trace, final state) per config and the best of
-them, the lowest final energy among the runs that completed.
-hyperparameter_search (trials with random eta) and multi_seed_run
-(realizations with fanned-out seeds) only build its config list.
+run_all is the one loop that runs optimize over a list of configs, one
+Run (config, trace, final state) each; hyperparameter_search (trials) and
+multi_seed_run (realizations) only build that list.
 """
 
 import functools
@@ -483,8 +481,7 @@ def _lowest(energies) -> int | None:
 
 @dataclass(frozen=True)
 class Run:
-    """One SR run: its config, its trace and the normalized, phase-fixed
-    state of its final parameters."""
+    """One SR run: its config, its trace and its final state."""
     config: SrConfig
     trace: OptimizationTrace
     state: np.ndarray
@@ -520,12 +517,9 @@ def run_all(h: RotatedTfim, configs) -> tuple[list, Run]:
 
 
 def hyperparameter_search(h: RotatedTfim, trials: int, seed: int, base: SrConfig) -> Run:
-    """Random search over the learning rate; returns the best trial of
-    run_all.
-
-    Trial t takes eta uniform in ETA_SEARCH_RANGE from one generator seeded
-    with `seed`, drawn in trial order, and the seed derive_seed(seed, t).
-    """
+    """Random search over the learning rate, run_all's best trial: trial t
+    draws eta uniform in ETA_SEARCH_RANGE from one generator seeded with
+    `seed`, in trial order, and takes the seed derive_seed(seed, t)."""
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
