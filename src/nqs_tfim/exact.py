@@ -33,12 +33,17 @@ NEAR_DEGENERACY_REL = 1e-6
 REAL_STATE_TOL = 1e-8
 
 
+def _norm_squared(psi: np.ndarray) -> float:
+    """||psi||^2 by numpy's pairwise sums, not by BLAS, whose dot products
+    split long vectors over threads, so it does not depend on the BLAS
+    thread count."""
+    return np.sum(psi.real**2) + np.sum(psi.imag**2)
+
+
 def normalize(psi: np.ndarray) -> np.ndarray:
-    """psi / ||psi||. The norm is summed by numpy's pairwise sums, not by
-    BLAS, whose dot products split long vectors over threads, so the
-    result does not depend on the BLAS thread count."""
+    """psi / ||psi||, with the norm of _norm_squared."""
     psi = np.asarray(psi, dtype=complex)
-    norm = np.sqrt(np.sum(psi.real**2) + np.sum(psi.imag**2))
+    norm = np.sqrt(_norm_squared(psi))
     if norm == 0:
         raise ValueError("cannot normalize a zero vector")
     return psi / norm
@@ -243,14 +248,15 @@ def check_state_pair(phi: np.ndarray, psi: np.ndarray) -> None:
 
 
 def infidelity(phi: np.ndarray, psi: np.ndarray) -> float:
-    """1 - |<psi|phi>|^2 / (<psi|psi><phi|phi>), global-phase invariant."""
+    """1 - |<psi|phi>|^2 / (<psi|psi><phi|phi>), global-phase invariant. The
+    overlap and the norms are numpy sums, as in _norm_squared, so the
+    result does not depend on the BLAS thread count."""
     phi, psi = np.asarray(phi, complex), np.asarray(psi, complex)
     check_state_pair(phi, psi)
-    np_, nq = np.linalg.norm(phi), np.linalg.norm(psi)
-    if np_ == 0 or nq == 0:
+    n_phi, n_psi = _norm_squared(phi), _norm_squared(psi)
+    if n_phi == 0 or n_psi == 0:
         raise ValueError("infidelity undefined for a zero vector")
-    overlap = np.abs(np.vdot(psi, phi)) / (np_ * nq)
-    return float(max(0.0, 1.0 - overlap**2))
+    return float(max(0.0, 1.0 - abs(np.sum(psi.conj() * phi)) ** 2 / (n_phi * n_psi)))
 
 
 def relative_energy_error(e_var: float, e0: float) -> float:

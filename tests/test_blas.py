@@ -89,7 +89,8 @@ def test_sr_energies_do_not_depend_on_thread_count_over_several_blocks():
 
 
 def test_states_at_l14_do_not_depend_on_thread_count():
-    # the norm of a 2^14-entry state; a BLAS dot product splits it over threads
+    # the norm of a 2^14-entry state, and the overlap and norms of an
+    # infidelity; a BLAS dot product splits them over threads
     libs = _blas.openblas_libraries()
     if not libs:
         pytest.skip("no OpenBLAS loaded in this environment")
@@ -103,7 +104,8 @@ def test_states_at_l14_do_not_depend_on_thread_count():
         for n in (2, 1):
             for setter, _ in libs.values():
                 setter(n)
-            states[n] = exact.ground_states(h).states, rbm.full_state_vector(w)
+            psi, phi = exact.ground_states(h).states, rbm.full_state_vector(w)
+            states[n] = psi, phi, exact.infidelity(phi, psi[:, 0])
     finally:
         for name, (setter, _) in libs.items():
             setter(before[name])
