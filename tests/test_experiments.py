@@ -455,6 +455,35 @@ def test_cli_phase_diagram(tmp_path, capsys):
     assert "phase-diagram" in capsys.readouterr().out
 
 
+# the 26 files of the six shipped ci configs, in sorted order per kind
+CI_FILES = {
+    "phase-diagram": ["index.json", "phase_diagram.csv"],
+    "degeneracy": ["degeneracy_points.csv", "degeneracy_realizations.csv", "index.json",
+                   "sorted_probs_L6_lam0.5_theta0.000000.csv",
+                   "sorted_probs_L6_lam0.5_theta0.785398.csv",
+                   "sorted_probs_L6_lam0.5_theta1.570796.csv"],
+    "pi-compare": ["index.json", "pi_compare_realizations.csv",
+                   "sorted_amplitudes_theta0.000000.csv",
+                   "sorted_amplitudes_theta3.141593.csv"],
+    "uniformity": ["index.json", "uniformity_best.csv", "uniformity_realizations.csv"],
+    "cumulant": ["coefficients_L6_lam1.5_theta0.628319_alpha1.csv", "index.json",
+                 "infidelity_curve_L6_lam1.5_theta0.628319_alpha1.csv",
+                 "rbm_L6_lam1.5_theta0.628319_alpha1.json"],
+    "size-scaling": ["coefficients_L4_lam1.5_theta0.125664_alpha1.csv",
+                     "coefficients_L6_lam1.5_theta0.125664_alpha1.csv", "index.json",
+                     "infidelity_curve_L4_lam1.5_theta0.125664_alpha1.csv",
+                     "infidelity_curve_L6_lam1.5_theta0.125664_alpha1.csv",
+                     "rbm_L4_lam1.5_theta0.125664_alpha1.json",
+                     "rbm_L6_lam1.5_theta0.125664_alpha1.json"],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cli_runs_each_shipped_ci_config(tmp_path, kind):
+    assert cli.main([kind, "--profile", "ci", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == CI_FILES[kind]
+
+
 def test_cli_custom_config(tmp_path):
     cfg_file = tmp_path / "cfg.yaml"
     cfg_file.write_text(
