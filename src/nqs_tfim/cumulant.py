@@ -29,6 +29,7 @@ from . import exact
 
 AMPLITUDE_FLOOR = 1e-30
 COEFF_FLOOR = 1e-300   # below this an exact coefficient has no relative error
+N_GRID_POINTS = 200   # log-spaced N of default_n_grid above L = 10
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
@@ -102,13 +103,12 @@ def magnitude_ranking(c: np.ndarray) -> np.ndarray:
     return np.argsort(-np.abs(c), kind="stable")
 
 
-def default_n_grid(L: int, n_points: int = 200) -> np.ndarray:
-    """All N in [1, 2^L] for L <= 10, ~n_points log-spaced above."""
+def default_n_grid(L: int) -> np.ndarray:
+    """All N in [1, 2^L] for L <= 10, ~N_GRID_POINTS log-spaced above."""
     total = 1 << L
     if L <= 10:
         return np.arange(1, total + 1)
-    grid = np.unique(np.geomspace(1, total, n_points).round().astype(int))
-    return grid
+    return np.unique(np.geomspace(1, total, N_GRID_POINTS).round().astype(int))
 
 
 def infidelity_curve(source: np.ndarray, reference: np.ndarray, ns) -> list:

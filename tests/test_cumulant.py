@@ -356,9 +356,10 @@ def test_infidelity_plateaus_at_truncation_level():
     assert infs[2] < 1e-12
 
 
-def test_default_n_grid():
+def test_default_n_grid(monkeypatch):
     assert np.array_equal(cumulant.default_n_grid(3), np.arange(1, 9))
-    grid = cumulant.default_n_grid(12, n_points=50)
+    monkeypatch.setattr(cumulant, "N_GRID_POINTS", 50)
+    grid = cumulant.default_n_grid(12)
     assert grid[0] == 1 and grid[-1] == 1 << 12
     assert np.all(np.diff(grid) > 0)
     assert len(grid) <= 50
