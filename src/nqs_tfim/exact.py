@@ -33,17 +33,12 @@ NEAR_DEGENERACY_REL = 1e-6
 REAL_STATE_TOL = 1e-8
 
 
-def _norm_squared(psi: np.ndarray) -> float:
-    """||psi||^2 by numpy's pairwise sums, not by BLAS, whose dot products
-    split long vectors over threads, so it does not depend on the BLAS
-    thread count."""
-    return np.sum(psi.real**2) + np.sum(psi.imag**2)
-
-
 def normalize(psi: np.ndarray) -> np.ndarray:
-    """psi / ||psi||, with the norm of _norm_squared."""
+    """psi / ||psi||. The norm is summed by numpy's pairwise sums, not by
+    BLAS, whose dot products split long vectors over threads, so the
+    result does not depend on the BLAS thread count."""
     psi = np.asarray(psi, dtype=complex)
-    norm = np.sqrt(_norm_squared(psi))
+    norm = np.sqrt(np.sum(psi.real**2) + np.sum(psi.imag**2))
     if norm == 0:
         raise ValueError("cannot normalize a zero vector")
     return psi / norm
@@ -92,10 +87,10 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     normalized, are checked against H(theta) by their residuals, all k at
     once and with no matrix (`hamiltonian.apply_from_definition`); then
     each is normalized as a complex vector, phase-fixed and stored as a
-    contiguous column, so a column's bits do not depend on k. In the
-    (near-)degenerate ferromagnet the two states are therefore parity
-    eigenstates, not a rounding-dependent mix. k must lie in [1, 2^L], and
-    below 2^(L-1) where Lanczos is used (k <= 511 at L = 10).
+    contiguous column. In the (near-)degenerate ferromagnet the two states
+    are therefore parity eigenstates, not a rounding-dependent mix. k must
+    lie in [1, 2^L], and below 2^(L-1) where Lanczos is used (k <= 511 at
+    L = 10).
     """
     if h.L > SOLVER_MAX_SITES:
         raise ValueError(f"exact solver refused for L={h.L} > {SOLVER_MAX_SITES}")
@@ -249,14 +244,12 @@ def check_state_pair(phi: np.ndarray, psi: np.ndarray) -> None:
 
 def infidelity(phi: np.ndarray, psi: np.ndarray) -> float:
     """1 - |<psi|phi>|^2 / (<psi|psi><phi|phi>), global-phase invariant. The
-    overlap and the norms are numpy sums, as in _norm_squared, so the
-    result does not depend on the BLAS thread count."""
+    states are normalized and their overlap summed by numpy, not BLAS, so
+    the result does not depend on the BLAS thread count."""
     phi, psi = np.asarray(phi, complex), np.asarray(psi, complex)
     check_state_pair(phi, psi)
-    n_phi, n_psi = _norm_squared(phi), _norm_squared(psi)
-    if n_phi == 0 or n_psi == 0:
-        raise ValueError("infidelity undefined for a zero vector")
-    return float(max(0.0, 1.0 - abs(np.sum(psi.conj() * phi)) ** 2 / (n_phi * n_psi)))
+    overlap = np.sum(normalize(psi).conj() * normalize(phi))
+    return float(max(0.0, 1.0 - abs(overlap) ** 2))
 
 
 def relative_energy_error(e_var: float, e0: float) -> float:

@@ -6,14 +6,13 @@ axes each kind sweeps; the config refuses a second value on any other
 axis, so none is dropped. Point p gets seed
 SeedSequence([master, p]) and its realization i SeedSequence([point_seed,
 i]) (see sr.derive_seed). A training point solves ED for the two lowest
-states and then runs its search trials, if any, and its realizations
-through sr.run_all (_solve_and_train). A point that raises is counted
-and logged as one WARNING record with its traceback, "<kind> grid point
-(L, lambda, theta, alpha) failed: <error>", and the sweep goes on. At the
-end the runner writes tidy CSV files (the column schemas below are the
-interface; plotting is out of scope) and appends to `index.json` one
-record per run, or one per point that succeeded for cumulant and
-size-scaling.
+states, then runs its search trials, if any, and realizations through
+sr.run_all. A point that raises is counted and logged as one WARNING
+record with its traceback, "<kind> grid point (L, lambda, theta, alpha)
+failed: <error>", and the sweep goes on. At the end the runner writes
+tidy CSV files (the column schemas below are the interface; plotting is
+out of scope) and appends to `index.json` one record per run, or one per
+point that succeeded for cumulant and size-scaling.
 """
 
 import csv

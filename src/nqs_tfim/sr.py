@@ -496,13 +496,10 @@ class Run:
 
 
 def run_all(h: RotatedTfim, configs) -> tuple[list, Run]:
-    """optimize at each config in order; returns (runs, best).
-
-    best has the lowest finite final energy among the runs that completed,
-    the first one among ties within ENERGY_TIE_RTOL; aborted runs stay in
-    the list. RuntimeError, naming each run's eta and outcome, if no run
-    qualifies.
-    """
+    """optimize at each config in order; returns (runs, best), best the
+    lowest finite final energy among the runs that did not abort, the first
+    among ties within ENERGY_TIE_RTOL. RuntimeError, naming each run's eta
+    and outcome, if no run qualifies."""
     runs = []
     for cfg in configs:
         trace = optimize(h, cfg)
