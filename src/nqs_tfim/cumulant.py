@@ -8,19 +8,18 @@ c_A = (-1)^|A| fwht(log Psi)[A] / 2^L. They are held as a plain (2^L,)
 complex array indexed by A, whose length gives L.
 
 Truncation keeps the N by-magnitude largest coefficients (not the lowest
-orders), re-exponentiates and renormalizes:
-reconstruct(c, magnitude_ranking(c)[:N]). An infidelity curve computes
-the coefficients, their ranking and the signed vector (-1)^|A| c_A once and
-keeps one masked copy of it; each N then costs one scatter of the entries
-kept or dropped since the previous N and one FWHT. For a complex signed
-vector each N takes its own FWHT and one real exp and one tan per
-amplitude: with log a = x + iy and t = tan(y/2), a = e^x ((1 - t^2) + 2it)
-/ (1 + t^2), the half-angle form `rbm.log_psi_and_tanh` uses. A sign-free
-state (all phases equal, such as the ground state of a stoquastic H) has a
-real signed vector, so every truncation has real log-amplitudes: two N
-then share one FWHT, one in each plane of the masked vector, and each
-costs one real exp per amplitude. The curve values are the same bit for
-bit either way.
+orders), magnitude_ranking(c)[:N], re-exponentiates and renormalizes. An
+infidelity curve computes the coefficients, their ranking and the signed
+vector (-1)^|A| c_A once and keeps one masked copy of it; each N then
+costs one scatter of the entries kept or dropped since the previous N and
+one FWHT. For a complex signed vector each N takes its own FWHT and one
+real exp and one tan per amplitude: with log a = x + iy and t = tan(y/2),
+a = e^x ((1 - t^2) + 2it) / (1 + t^2), the half-angle form
+`rbm.log_psi_and_tanh` uses. A sign-free state (all phases equal, such as
+the ground state of a stoquastic H) has a real signed vector, so every
+truncation has real log-amplitudes: two N then share one FWHT, one in
+each plane of the masked vector, and each costs one real exp per
+amplitude. The curve values are the same bit for bit either way.
 """
 
 import numpy as np
@@ -81,21 +80,6 @@ def cumulant_coefficients(psi: np.ndarray) -> np.ndarray:
     log_amp = np.log(np.maximum(mags, AMPLITUDE_FLOOR)) + 1j * np.angle(psi)
     signs = 1.0 - 2.0 * (subset_orders(L) & 1)
     return signs * fwht(log_amp) / n
-
-
-def reconstruct(c: np.ndarray, kept: np.ndarray | None = None) -> np.ndarray:
-    """exp(sum_{A in kept} c_A S_A(s)), normalized and phase-fixed.
-
-    `kept` is an array of subset bitmasks; None keeps everything.
-    """
-    if kept is not None:
-        masked = np.zeros_like(c)
-        masked[kept] = c[kept]
-        c = masked
-    signs = 1.0 - 2.0 * (subset_orders(c.size.bit_length() - 1) & 1)
-    log_amp = fwht(signs * c)
-    amps = np.exp(log_amp - np.max(log_amp.real))
-    return exact.fix_phase(exact.normalize(amps))
 
 
 def magnitude_ranking(c: np.ndarray) -> np.ndarray:

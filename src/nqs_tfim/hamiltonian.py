@@ -10,8 +10,7 @@ then equals coeff * prod_{i in A} s_i.
 `matvec` and the other routines that read H's matrix elements use one
 scipy.sparse CSR matrix, built on first use and cached on the instance.
 Row s holds one entry per flip mask B, at column s ^ B: the sum over the
-terms with that mask of coeff * prod_{i in A} s_i (`_mask_table`). `row`
-works from the term list directly and serves as the independent oracle.
+terms with that mask of coeff * prod_{i in A} s_i (`_mask_table`).
 
 Every H(theta) is a site-by-site real rotation of the unrotated chain,
 H(theta) = V H(0) V^T with V = prod_i R_i(theta/2) (`rotate`), and H(0)
@@ -144,21 +143,6 @@ def _build_terms(L, lam, theta):
     )
 
 
-def row(h: RotatedTfim, s: int):
-    """All nonzero matrix elements H_{s s'} of row s.
-
-    Returns a list of (s', amplitude) pairs with duplicate targets merged
-    and coefficients below the drop tolerance removed.
-    """
-    hilbert.check_config(s, h.L)
-    out = {}
-    for x_mask, z_mask, coeff in h.terms:
-        sign = 1 - 2 * (int(~s & z_mask & (h.dim - 1)).bit_count() & 1)
-        target = s ^ x_mask
-        out[target] = out.get(target, 0.0) + coeff * sign
-    return [(t, v) for t, v in sorted(out.items()) if abs(v) > COEFF_DROP_TOL]
-
-
 def matvec(h: RotatedTfim, v: np.ndarray) -> np.ndarray:
     """H @ v from the cached CSR matrix, O(n_masks * 2^L).
 
@@ -249,12 +233,3 @@ def stoquastic_energy(h: RotatedTfim, amplitudes: np.ndarray) -> float:
     m = h.elements.tocoo()
     sign_free = np.where(m.row == m.col, m.data, -np.abs(m.data))
     return np.sum(sign_free * a[m.row] * a[m.col]) / norm
-
-
-def parity_expectation(h: RotatedTfim, psi: np.ndarray) -> float:
-    """<psi| prod_i sx~_i(theta) |psi> for a normalized state.
-
-    prod_i sx~_i = V P V^T = V^2 P: P = prod_i X_i reverses a vector, and
-    P V^T P = V since X R^T X = R on each site.
-    """
-    return float(np.vdot(psi, rotate(h, rotate(h, psi[::-1]))).real)

@@ -15,31 +15,6 @@ def check_sites(L: int) -> None:
         raise ValueError(f"site count L={L} outside [1, {MAX_SITES}]")
 
 
-def check_config(index: int, L: int) -> None:
-    if not 0 <= index < (1 << L):
-        raise ValueError(f"configuration index {index} outside [0, 2^{L})")
-
-
-def spin_at(index: int, i: int, L: int) -> int:
-    """Spin value s_i in {+1, -1} at site i."""
-    if not 0 <= i < L:
-        raise ValueError(f"site index {i} outside [0, {L})")
-    return 1 if (index >> i) & 1 else -1
-
-
-def flip(index: int, i: int, L: int) -> int:
-    """Configuration with the spin at site i flipped."""
-    if not 0 <= i < L:
-        raise ValueError(f"site index {i} outside [0, {L})")
-    return index ^ (1 << i)
-
-
-def n_down(index: int, L: int) -> int:
-    """Number of sites with s_i = -1."""
-    check_config(index, L)
-    return L - int(index).bit_count()
-
-
 def all_spins(L: int) -> np.ndarray:
     """(2^L, L) array of spin values (+1/-1) for every configuration.
 
@@ -49,10 +24,3 @@ def all_spins(L: int) -> np.ndarray:
     idx = np.arange(1 << L, dtype=np.uint32)
     bits = (idx[:, None] >> np.arange(L, dtype=np.uint32)) & 1
     return (2 * bits.astype(np.int8) - 1).astype(np.float64)
-
-
-def parity_in_mask(indices: np.ndarray, mask: int) -> np.ndarray:
-    """Product of spins over the sites in `mask`, for each index (+1/-1)."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    down = np.bitwise_count(~idx & np.uint64(mask))
-    return (1 - 2 * (down.astype(np.int64) & 1)).astype(np.float64)

@@ -181,31 +181,6 @@ def log_psi_all(w: RbmParameters) -> np.ndarray:
     return log_psi_and_tanh(w, hilbert.all_spins(w.L))[0]
 
 
-def log_psi(w: RbmParameters, index: int) -> complex:
-    """log Psi(s) for a single configuration index."""
-    hilbert.check_config(index, w.L)
-    s = np.array([[1.0 if (index >> i) & 1 else -1.0 for i in range(w.L)]])
-    return complex(log_psi_and_tanh(w, s)[0][0])
-
-
-def log_derivatives(w: RbmParameters, index: int) -> np.ndarray:
-    """O_k(s) = d log Psi / d omega_k in flat parameter order."""
-    hilbert.check_config(index, w.L)
-    s = np.array([1.0 if (index >> i) & 1 else -1.0 for i in range(w.L)])
-    t = np.tanh(s @ w.W + w.b)
-    return np.concatenate([s.astype(complex), t, (s[:, None] * t[None, :]).reshape(-1)])
-
-
-def log_derivatives_all(w: RbmParameters) -> np.ndarray:
-    """(2^L, n_var) matrix of log-derivatives for every configuration."""
-    s = hilbert.all_spins(w.L)
-    t = np.tanh(s @ w.W + w.b)
-    sw = s[:, :, None] * t[:, None, :]
-    return np.concatenate(
-        [s.astype(complex), t, sw.reshape(s.shape[0], -1)], axis=1
-    )
-
-
 def full_state_vector(w: RbmParameters) -> np.ndarray:
     """Normalized, phase-fixed amplitudes over all 2^L configurations."""
     lp = log_psi_all(w)

@@ -55,7 +55,7 @@ product) and reuses it in every iteration, so an iteration allocates no
 array of block or n_var^2 size other than that copy of S; the state
 vectors of _born_energy (psi, p, E_loc) are still allocated per iteration.
 The parameters stay in one flat vector that the RbmParameters of each
-step views. expectations takes a fresh set of buffers per call.
+step views.
 
 run_all is the one loop that runs optimize over a list of configs, one
 Run (config, trace, final state) each; hyperparameter_search (trials) and
@@ -73,7 +73,7 @@ import numpy as np
 import scipy.linalg.lapack
 
 from . import hamiltonian, hilbert, rbm
-from .hamiltonian import RotatedTfim, row
+from .hamiltonian import RotatedTfim
 from .rbm import RbmParameters
 
 SOLVE_RESIDUAL_TOL = 1e-10
@@ -131,15 +131,6 @@ def local_energies(h: RotatedTfim, psi: np.ndarray) -> np.ndarray:
     out = np.zeros(h.dim, dtype=complex)
     np.divide(num, psi, out=out, where=~zero)
     return out
-
-
-def local_energy(h: RotatedTfim, w: RbmParameters, s: int) -> complex:
-    """Local energy of a single configuration from amplitude ratios."""
-    lp_s = rbm.log_psi(w, s)
-    total = 0.0 + 0.0j
-    for sp, amp in row(h, s):
-        total += amp * np.exp(rbm.log_psi(w, sp) - lp_s)
-    return complex(total)
 
 
 def _born_energy(h: RotatedTfim, lp: np.ndarray):
@@ -362,16 +353,6 @@ def _full_expectations(h: RotatedTfim, w: RbmParameters, bufs: _Buffers):
     s_planes *= 0.5
     f = moments.take(lay.forces) - energy * o_mean.conj()
     return energy, var, f, s_mat
-
-
-def expectations(h: RotatedTfim, w: RbmParameters):
-    """Exact (energy, forces, S-matrix) for the current parameters.
-
-    p(s) = |psi(s)|^2 / sum |psi|^2; S is Hermitian positive semidefinite
-    by construction.
-    """
-    energy, _, f, s_mat = _full_expectations(h, w, _allocate_buffers(w.L, w.M))
-    return energy, f, s_mat
 
 
 def energy_and_variance(h: RotatedTfim, w: RbmParameters):

@@ -16,7 +16,7 @@ from nqs_tfim.hamiltonian import RotatedTfim, is_stoquastic
 from nqs_tfim.rbm import RbmParameters
 from nqs_tfim.sr import SrConfig
 
-from conftest import i_sigma_y
+from conftest import i_sigma_y, log_derivatives_all, reconstruct
 
 
 def report(num, name, ok, detail=""):
@@ -72,14 +72,14 @@ def test_04_rbm_gradient_oracle():
     for _ in range(100):
         w = random_rbm(rng, L, M=alpha * L)
         s = int(rng.integers(0, 2**L))
-        grad = rbm.log_derivatives(w, s)
+        grad = log_derivatives_all(w)[s]
         vec = w.to_vector()
         for k in rng.choice(len(vec), size=6, replace=False):
             vp, vm = vec.copy(), vec.copy()
             vp[k] += step
             vm[k] -= step
-            num = (rbm.log_psi(RbmParameters.from_vector(vp, L, w.M), s)
-                   - rbm.log_psi(RbmParameters.from_vector(vm, L, w.M), s)) / (2 * step)
+            num = (rbm.log_psi_all(RbmParameters.from_vector(vp, L, w.M))[s]
+                   - rbm.log_psi_all(RbmParameters.from_vector(vm, L, w.M))[s]) / (2 * step)
             worst = max(worst, abs(grad[k] - num))
     report(4, "log-derivatives match finite differences", worst < 1e-6,
            f"max deviation {worst:.2e}")
@@ -101,7 +101,7 @@ def test_05_pi_rotation_exactness():
         for j in range(L):
             wr = rbm.apply_pi_rotation(wr, j)
         rotated = rbm.full_state_vector(wr)
-        phases = np.array([np.exp(1j * np.pi * hilbert.n_down(s, L))
+        phases = np.array([np.exp(1j * np.pi * (L - s.bit_count()))
                            for s in range(2**L)])
         worst_chain = max(worst_chain,
                           exact.infidelity(rotated, phases * psi[comp]))
@@ -198,7 +198,7 @@ def test_10_fwht_identities():
         psi = exact.fix_phase(exact.normalize(psi))
         coeffs = cumulant.cumulant_coefficients(psi)
         worst_round = max(worst_round,
-                          exact.infidelity(cumulant.reconstruct(coeffs), psi))
+                          exact.infidelity(reconstruct(coeffs), psi))
     ok = worst_inv < 1e-12 and worst_round <= 1e-12
     report(10, "Walsh-Hadamard self-inverse and exact round trip", ok,
            f"inverse {worst_inv:.2e}, round trip {worst_round:.2e}")

@@ -6,13 +6,15 @@ from nqs_tfim import cumulant, exact, hilbert, rbm
 from nqs_tfim.hamiltonian import RotatedTfim
 from nqs_tfim.rbm import RbmParameters
 
+from conftest import reconstruct
+
 
 def product_over_subset(s, mask, L):
     """S_A(s) = prod_{i in A} s_i computed spin by spin (oracle)."""
     out = 1.0
     for i in range(L):
         if (mask >> i) & 1:
-            out *= hilbert.spin_at(s, i, L)
+            out *= 1 if (s >> i) & 1 else -1
     return out
 
 
@@ -189,7 +191,7 @@ def test_roundtrip_full_reconstruction(rng):
     psi += 3.0
     psi = exact.fix_phase(exact.normalize(psi))
     coeffs = cumulant.cumulant_coefficients(psi)
-    assert exact.infidelity(cumulant.reconstruct(coeffs), psi) < 1e-12
+    assert exact.infidelity(reconstruct(coeffs), psi) < 1e-12
 
 
 def test_truncation_with_all_terms_is_exact(rng):
@@ -198,7 +200,7 @@ def test_truncation_with_all_terms_is_exact(rng):
     psi += 3.0
     psi = exact.fix_phase(exact.normalize(psi))
     coeffs = cumulant.cumulant_coefficients(psi)
-    state = cumulant.reconstruct(coeffs, cumulant.magnitude_ranking(coeffs)[:1 << L])
+    state = reconstruct(coeffs, cumulant.magnitude_ranking(coeffs)[:1 << L])
     assert exact.infidelity(state, psi) < 1e-12
 
 
@@ -210,7 +212,7 @@ def test_truncation_to_constant_is_uniform(rng):
     kept = cumulant.magnitude_ranking(coeffs)[:1]
     assert kept[0] == 0
     uniform = np.full(8, 1 / np.sqrt(8))
-    assert exact.infidelity(cumulant.reconstruct(coeffs, kept), uniform) < 1e-12
+    assert exact.infidelity(reconstruct(coeffs, kept), uniform) < 1e-12
 
 
 def test_magnitude_ranking_orders_and_ties():
@@ -237,7 +239,7 @@ def reference_curve(source, reference, ns):
     one N at a time (oracle)."""
     coeffs = cumulant.cumulant_coefficients(exact.fix_phase(exact.normalize(source)))
     ranking = cumulant.magnitude_ranking(coeffs)
-    return [(int(n), exact.infidelity(cumulant.reconstruct(coeffs, ranking[: int(n)]),
+    return [(int(n), exact.infidelity(reconstruct(coeffs, ranking[: int(n)]),
                                       reference)) for n in ns]
 
 

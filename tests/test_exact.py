@@ -8,6 +8,8 @@ import scipy.sparse
 from nqs_tfim import cumulant, exact, hamiltonian, rbm
 from nqs_tfim.hamiltonian import RotatedTfim
 
+from conftest import parity_expectation
+
 
 def test_ground_states_l1():
     summary = exact.ground_states(RotatedTfim(1, 1.0, 0.0), k=2)
@@ -288,7 +290,7 @@ def test_ferromagnet_doublet_is_a_parity_pair_on_both_paths(monkeypatch, theta):
     for j in range(2):
         assert exact.infidelity(dense.states[:, j], lanczos.states[:, j]) < 1e-10
     for summary in (dense, lanczos):
-        parities = [hamiltonian.parity_expectation(h, summary.states[:, j]) for j in range(2)]
+        parities = [parity_expectation(h, summary.states[:, j]) for j in range(2)]
         assert np.allclose(np.abs(parities), 1.0, atol=1e-10, rtol=0)
         assert parities[0] * parities[1] < 0
 

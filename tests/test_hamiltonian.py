@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from nqs_tfim import exact, hamiltonian, hilbert, sr
+from nqs_tfim import exact, hamiltonian, sr
 from nqs_tfim.hamiltonian import RotatedTfim
 
-from conftest import kron_hamiltonian, site_operator, PAULI_X
+from conftest import (kron_hamiltonian, parity_expectation, parity_in_mask, row,
+                      site_operator, PAULI_X)
 
 
 def row_as_dict(h, s):
-    return dict(hamiltonian.row(h, s))
+    return dict(row(h, s))
 
 
 def test_row_l2_theta0():
@@ -45,7 +46,7 @@ def test_row_connectivity_bound(rng):
     for L in (3, 6):
         h = RotatedTfim(L, 1.3, 0.4)
         for s in rng.integers(0, 2**L, size=10):
-            assert len(hamiltonian.row(h, int(s))) <= 1 + 2 * L + 3 * (L - 1)
+            assert len(row(h, int(s))) <= 1 + 2 * L + 3 * (L - 1)
 
 
 def test_dense_l1_examples():
@@ -104,7 +105,7 @@ def test_apply_from_definition_matches_dense(L, rng):
 def row_oracle_matrix(h):
     m = np.zeros((h.dim, h.dim))
     for s in range(h.dim):
-        for sp, amp in hamiltonian.row(h, s):
+        for sp, amp in row(h, s):
             m[s, sp] = amp
     return m
 
@@ -126,7 +127,7 @@ def test_element_table_is_built_lazily():
     tracemalloc.start()
     try:
         h = RotatedTfim(24, 1.0, 0.3)
-        hamiltonian.row(h, 0)
+        row(h, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -140,7 +141,7 @@ def test_dense_matrix_matches_per_term_accumulation():
     idx = np.arange(h.dim)
     ref = np.zeros((h.dim, h.dim))
     for x_mask, z_mask, coeff in h.terms:
-        ref[idx, idx ^ x_mask] += coeff * hilbert.parity_in_mask(idx, z_mask)
+        ref[idx, idx ^ x_mask] += coeff * parity_in_mask(idx, z_mask)
     assert np.array_equal(h.elements.toarray(), ref)
 
 
@@ -151,7 +152,7 @@ def per_term_elements(h):
     column = {x_mask: k for k, x_mask in enumerate(masks)}
     data = np.zeros((h.dim, len(masks)))
     for x_mask, z_mask, coeff in h.terms:
-        data[:, column[x_mask]] += coeff * hilbert.parity_in_mask(idx, z_mask)
+        data[:, column[x_mask]] += coeff * parity_in_mask(idx, z_mask)
     indices = idx[:, None] ^ np.array(masks, dtype=np.int32)
     indptr = np.arange(h.dim + 1, dtype=np.int32) * len(masks)
     return data.ravel(), indices.ravel(), indptr
@@ -242,7 +243,7 @@ def test_stoquastic_energy_delta_peak():
     s = 0b111
     a = np.zeros(8)
     a[s] = 1.0
-    diag = dict(hamiltonian.row(h, s))[s]
+    diag = dict(row(h, s))[s]
     assert diag < 0
     assert hamiltonian.stoquastic_energy(h, a) == pytest.approx(-abs(diag))
 
@@ -257,11 +258,11 @@ def test_parity_expectation_examples():
     up = np.zeros(2**L, dtype=complex)
     up[-1] = 1.0  # all bits set = all spins up
     h = RotatedTfim(L, 1.0, np.pi / 2)
-    assert hamiltonian.parity_expectation(h, up) == pytest.approx(1.0)
+    assert parity_expectation(h, up) == pytest.approx(1.0)
 
     uniform = np.full(2**L, 1 / 4.0, dtype=complex)
     h0 = RotatedTfim(L, 1.0, 0.0)
-    assert hamiltonian.parity_expectation(h0, uniform) == pytest.approx(1.0)
+    assert parity_expectation(h0, uniform) == pytest.approx(1.0)
 
 
 def test_parity_matches_kron_product():
@@ -275,15 +276,15 @@ def test_parity_matches_kron_product():
     rng = np.random.default_rng(5)
     psi = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
     psi /= np.linalg.norm(psi)
-    assert hamiltonian.parity_expectation(h, psi) == pytest.approx(
+    assert parity_expectation(h, psi) == pytest.approx(
         np.real(np.vdot(psi, p @ psi)), abs=1e-12)
 
 
 def test_parity_commutes_and_labels_doublet():
     h = RotatedTfim(6, 0.5, 0.0)
     summary = exact.ground_states(h, k=2)
-    p0 = hamiltonian.parity_expectation(h, summary.states[:, 0])
-    p1 = hamiltonian.parity_expectation(h, summary.states[:, 1])
+    p0 = parity_expectation(h, summary.states[:, 0])
+    p1 = parity_expectation(h, summary.states[:, 1])
     assert abs(abs(p0) - 1) < 1e-10
     assert abs(abs(p1) - 1) < 1e-10
     assert p0 * p1 < 0  # opposite parities in the symmetry-broken doublet

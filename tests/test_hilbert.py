@@ -3,45 +3,7 @@ import pytest
 
 from nqs_tfim import hilbert
 
-
-def test_spin_at_examples():
-    assert hilbert.spin_at(0b11, 0, 2) == +1
-    assert hilbert.spin_at(0b00, 1, 2) == -1
-    assert hilbert.spin_at(0b10, 0, 2) == -1
-
-
-def test_spin_at_range_check():
-    with pytest.raises(ValueError):
-        hilbert.spin_at(0, 2, 2)
-    with pytest.raises(ValueError):
-        hilbert.spin_at(0, -1, 2)
-
-
-def test_flip_examples():
-    assert hilbert.flip(0b00, 0, 2) == 0b01
-    assert hilbert.flip(0b01, 0, 2) == 0b00
-    assert hilbert.flip(0b10, 2, 3) == 0b110
-
-
-def test_flip_involution(rng):
-    for _ in range(200):
-        L = int(rng.integers(1, 13))
-        c = int(rng.integers(0, 1 << L))
-        i = int(rng.integers(0, L))
-        assert hilbert.flip(hilbert.flip(c, i, L), i, L) == c
-
-
-def test_n_down_examples():
-    assert hilbert.n_down(0b111, 3) == 0
-    assert hilbert.n_down(0b000, 3) == 3
-    assert hilbert.n_down(0b101, 3) == 1
-
-
-def test_n_down_complements_set_bits(rng):
-    for _ in range(100):
-        L = int(rng.integers(1, 20))
-        c = int(rng.integers(0, 1 << L))
-        assert hilbert.n_down(c, L) + bin(c).count("1") == L
+from conftest import parity_in_mask
 
 
 def test_enumeration_complete():
@@ -54,11 +16,12 @@ def test_enumeration_complete():
 
 
 def test_all_spins_matches_spin_at():
+    # the spin at site i of configuration c is bit i of c: set is +1
     L = 5
     spins = hilbert.all_spins(L)
     for c in (0, 7, 19, 31):
         for i in range(L):
-            assert spins[c, i] == hilbert.spin_at(c, i, L)
+            assert spins[c, i] == (1 if (c >> i) & 1 else -1)
 
 
 def test_parity_in_mask_matches_products(rng):
@@ -69,7 +32,7 @@ def test_parity_in_mask_matches_products(rng):
         mask = int(rng.integers(0, 1 << L))
         expected = np.prod(spins[:, [i for i in range(L) if mask >> i & 1]], axis=1) \
             if mask else np.ones(1 << L)
-        assert np.array_equal(hilbert.parity_in_mask(idx, mask), expected)
+        assert np.array_equal(parity_in_mask(idx, mask), expected)
 
 
 def test_site_cap():

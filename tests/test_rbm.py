@@ -4,12 +4,12 @@ import pytest
 from nqs_tfim import exact, hilbert, rbm
 from nqs_tfim.rbm import RbmParameters
 
-from conftest import i_sigma_y
+from conftest import i_sigma_y, log_derivatives_all
 
 
 def brute_force_psi(w, index):
     """Direct product evaluation of the ansatz, no logs anywhere."""
-    s = np.array([hilbert.spin_at(index, i, w.L) for i in range(w.L)], dtype=float)
+    s = np.array([1.0 if (index >> i) & 1 else -1.0 for i in range(w.L)])
     val = np.exp(np.sum(w.a * s))
     for j in range(w.M):
         val *= np.cosh(w.b[j] + np.sum(w.W[:, j] * s))
@@ -26,36 +26,41 @@ def random_params(rng, L, alpha=1.0, scale=0.3):
 def test_log_psi_zero_params_uniform():
     w = RbmParameters(np.zeros(3, complex), np.zeros(3, complex),
                       np.zeros((3, 3), complex))
+    lp = rbm.log_psi_all(w)
     for s in range(8):
-        assert rbm.log_psi(w, s) == pytest.approx(0.0)
+        assert lp[s] == pytest.approx(0.0)
 
 
 def test_log_psi_bias_only():
     a0 = 0.37 - 0.12j
     w = RbmParameters(np.array([a0]), np.zeros(1, complex), np.zeros((1, 1), complex))
-    assert rbm.log_psi(w, 0b1) == pytest.approx(a0)
-    assert rbm.log_psi(w, 0b0) == pytest.approx(-a0)
+    lp = rbm.log_psi_all(w)
+    assert lp[0b1] == pytest.approx(a0)
+    assert lp[0b0] == pytest.approx(-a0)
 
 
 def test_log_psi_matches_brute_force(rng):
     for _ in range(10):
         w = random_params(rng, 4, alpha=1.5)
+        lp = rbm.log_psi_all(w)
         for s in range(16):
-            got = np.exp(rbm.log_psi(w, s))
+            got = np.exp(lp[s])
             assert got == pytest.approx(brute_force_psi(w, s), rel=1e-12)
 
 
 def test_log_psi_all_consistent(rng):
+    # every configuration at once against one configuration at a time
     w = random_params(rng, 5)
     lp = rbm.log_psi_all(w)
+    spins = hilbert.all_spins(w.L)
     for s in (0, 7, 19, 31):
-        assert lp[s] == pytest.approx(rbm.log_psi(w, s), rel=1e-12)
+        assert lp[s] == pytest.approx(rbm.log_psi_and_tanh(w, spins[s:s + 1])[0][0], rel=1e-12)
 
 
 def test_log_psi_overflow_safe():
     w = RbmParameters(np.zeros(2, complex), np.full(2, 500.0 + 0j),
                       np.zeros((2, 2), complex))
-    lp = rbm.log_psi(w, 0b00)
+    lp = rbm.log_psi_all(w)[0b00]
     assert np.isfinite(lp)
     assert lp == pytest.approx(2 * (500.0 - np.log(2)))
 
@@ -113,7 +118,7 @@ def test_log_psi_and_tanh_match_elementwise_over_several_blocks(rng):
 def test_log_derivatives_zero_params():
     w = RbmParameters(np.zeros(2, complex), np.zeros(2, complex),
                       np.zeros((2, 2), complex))
-    o = rbm.log_derivatives(w, 0b01)
+    o = log_derivatives_all(w)[0b01]
     assert np.allclose(o[:2], [1, -1])     # s_i
     assert np.allclose(o[2:], 0.0)         # tanh(0) = 0
 
@@ -123,12 +128,12 @@ def test_log_derivatives_finite_differences(rng):
     for _ in range(10):
         w = random_params(rng, 3, alpha=1.0)
         s = int(rng.integers(0, 8))
-        o = rbm.log_derivatives(w, s)
+        o = log_derivatives_all(w)[s]
         vec = w.to_vector()
         for k in range(w.n_var):
             e = np.zeros_like(vec); e[k] = step
-            num = (rbm.log_psi(RbmParameters.from_vector(vec + e, w.L, w.M), s)
-                   - rbm.log_psi(RbmParameters.from_vector(vec - e, w.L, w.M), s)) / (2 * step)
+            num = (rbm.log_psi_all(RbmParameters.from_vector(vec + e, w.L, w.M))[s]
+                   - rbm.log_psi_all(RbmParameters.from_vector(vec - e, w.L, w.M))[s]) / (2 * step)
             assert abs(num - o[k]) < 1e-6
 
 
@@ -136,17 +141,9 @@ def test_log_derivatives_flip_negates_bias_entry(rng):
     w = random_params(rng, 4)
     s = 0b0110
     i = 2
-    o1 = rbm.log_derivatives(w, s)
-    o2 = rbm.log_derivatives(w, hilbert.flip(s, i, 4))
+    o = log_derivatives_all(w)
+    o1, o2 = o[s], o[s ^ (1 << i)]
     assert o2[i] == pytest.approx(-o1[i])
-
-
-def test_log_derivatives_all_consistent(rng):
-    w = random_params(rng, 4, alpha=2.0)
-    mat = rbm.log_derivatives_all(w)
-    assert mat.shape == (16, w.n_var)
-    for s in (0, 5, 15):
-        assert np.allclose(mat[s], rbm.log_derivatives(w, s))
 
 
 def test_full_state_vector_zero_params():
@@ -196,7 +193,7 @@ def test_pi_rotation_twice_is_identity_up_to_sign(rng):
 
 
 def ndown_phases(L):
-    return np.array([np.exp(1j * np.pi * hilbert.n_down(s, L)) for s in range(2**L)])
+    return np.array([np.exp(1j * np.pi * (L - s.bit_count())) for s in range(2**L)])
 
 
 def test_full_chain_rotation_general(rng):

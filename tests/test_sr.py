@@ -13,7 +13,7 @@ from nqs_tfim.hamiltonian import RotatedTfim
 from nqs_tfim.rbm import RbmParameters
 from nqs_tfim.sr import SrConfig
 
-from conftest import kron_hamiltonian
+from conftest import expectations, kron_hamiltonian, local_energy, log_derivatives_all
 
 
 def uniform_rbm(L):
@@ -42,7 +42,7 @@ def test_local_energy_uniform_rbm_ferromagnetic_config():
     # unit amplitude ratio for the uniform state)
     h = RotatedTfim(2, 1.0, 0.0)
     w = uniform_rbm(2)
-    assert sr.local_energy(h, w, 0b11) == pytest.approx(-3.0)
+    assert local_energy(h, w, 0b11) == pytest.approx(-3.0)
 
 
 def test_local_energies_match_single_config_version(rng):
@@ -51,7 +51,7 @@ def test_local_energies_match_single_config_version(rng):
     psi = normalized_state(w)
     vec = sr.local_energies(h, psi)
     for s in range(8):
-        assert vec[s] == pytest.approx(sr.local_energy(h, w, s), abs=1e-10)
+        assert vec[s] == pytest.approx(local_energy(h, w, s), abs=1e-10)
 
 
 def test_local_energies_zero_amplitude_warns():
@@ -80,7 +80,7 @@ def double_loop_expectations(h, w):
     p = np.abs(psi) ** 2
     e_loc = (hm @ psi) / psi
     energy = np.sum(p * e_loc)
-    o = np.array([rbm.log_derivatives(w, s) for s in range(2**h.L)])
+    o = log_derivatives_all(w)
     n = o.shape[1]
     f = np.zeros(n, complex)
     s_mat = np.zeros((n, n), complex)
@@ -102,7 +102,7 @@ def test_expectations_match_double_loop_oracle(rng):
     h = RotatedTfim(3, 0.9, 0.25)
     for M in (3, 6):   # alpha = 1 and 2
         w = random_params(rng, 3, M)
-        energy, f, s_mat = sr.expectations(h, w)
+        energy, f, s_mat = expectations(h, w)
         e_ref, f_ref, s_ref = double_loop_expectations(h, w)
         assert energy == pytest.approx(e_ref, abs=1e-10)
         assert np.allclose(f, f_ref, atol=1e-10)
@@ -120,7 +120,7 @@ def dense_o_expectations(h, w):
     p /= p.sum()
     e_loc = sr.local_energies(h, psi)
     energy = np.sum(p * e_loc)
-    o = rbm.log_derivatives_all(w)
+    o = log_derivatives_all(w)
     o_mean = p @ o
     f = (p * e_loc) @ o.conj() - energy * (p @ o.conj())
     moments = (o.conj() * p[:, None]).T @ o
@@ -147,7 +147,7 @@ def test_expectations_match_dense_o_formula(L, alpha, scale):
         theta = hilbert.all_spins(L) @ w.W + w.b
         assert (theta.real < 0).any() and (theta.real > 0).any()
         assert (p == 0).any()
-    energy, f, s_mat = sr.expectations(h, w)
+    energy, f, s_mat = expectations(h, w)
     assert energy == e_ref
     assert np.max(np.abs(f - f_ref)) <= 1e-12 * size_f
     assert np.max(np.abs(s_mat - s_ref)) <= 1e-12 * size_s
@@ -186,7 +186,7 @@ def test_zero_born_weights_are_left_out_of_energy_and_variance():
     energy, var = sr.energy_and_variance(h, w)
     assert energy == pytest.approx(e_ref, rel=1e-12)
     assert var == pytest.approx(var_ref, rel=1e-10)
-    energy, f, s_mat = sr.expectations(h, w)
+    energy, f, s_mat = expectations(h, w)
     assert energy == pytest.approx(e_ref, rel=1e-12)
     assert np.isfinite(f).all() and np.isfinite(s_mat).all()
 
@@ -194,7 +194,7 @@ def test_zero_born_weights_are_left_out_of_energy_and_variance():
 def test_s_matrix_hermitian_psd(rng):
     h = RotatedTfim(3, 1.3, 0.6)
     w = random_params(rng, 3)
-    _, _, s_mat = sr.expectations(h, w)
+    _, _, s_mat = expectations(h, w)
     assert np.allclose(s_mat, s_mat.conj().T, atol=1e-12)
     assert np.array_equal(s_mat, s_mat.conj().T)
     evals = np.linalg.eigvalsh(s_mat)
@@ -216,7 +216,7 @@ def test_force_matches_finite_difference_of_energy(rng):
     # gradient dE/dw*_k = (dE/dRe + i dE/dIm)/2
     h = RotatedTfim(2, 0.8, 0.5)
     w = random_params(rng, 2)
-    _, f, _ = sr.expectations(h, w)
+    _, f, _ = expectations(h, w)
     vec = w.to_vector()
     step = 1e-6
 
@@ -385,7 +385,7 @@ def reuse_call(kind, L, M):
         return {"energies": trace.energies, "variances": trace.variances,
                 "grad_norms": trace.grad_norms, "params": trace.final_params.to_vector()}
     w = rbm.init_random(L, M / L, seed=L * M, scale=0.3)
-    energy, f, s_mat = sr.expectations(h, w)
+    energy, f, s_mat = expectations(h, w)
     return {"energy": np.array([energy]), "f": f, "s_mat": s_mat}
 
 
@@ -436,7 +436,7 @@ def test_iterations_of_one_run_leave_nothing_to_the_next(monkeypatch):
     monkeypatch.undo()
     assert len(seen) == 4
     for vec, energy, f, s_mat in seen[1:]:
-        e_ref, f_ref, s_ref = sr.expectations(h, RbmParameters.from_vector(vec, 12, 12))
+        e_ref, f_ref, s_ref = expectations(h, RbmParameters.from_vector(vec, 12, 12))
         assert energy == e_ref
         assert np.array_equal(f, f_ref) and np.array_equal(s_mat, s_ref)
 
