@@ -258,12 +258,13 @@ class ResultIndex:
 # ---------------------------------------------------------------------------
 # the grid-point pipeline
 
-def _sweep(cfg: ExperimentConfig, kind: str, solve):
+def _sweep(cfg: ExperimentConfig, solve):
     """Call solve(sr.derive_seed(cfg.seed, p), L, lam, theta, alpha) at each
     point p of the grid in order; return the results of the points that
     succeeded and how many raised. The grid is the product of the config's
-    four axes, every axis the kind does not sweep holding one value
+    four axes, every axis cfg.kind does not sweep holding one value
     (SWEPT_AXES), and pi-compare's theta axis is (0, pi)."""
+    kind = cfg.kind
     thetas = [0.0, np.pi] if kind == "pi-compare" else cfg.theta
     results, failures = [], 0
     for p, point in enumerate(itertools.product(cfg.L, cfg.lam, thetas, cfg.alpha)):
@@ -275,15 +276,15 @@ def _sweep(cfg: ExperimentConfig, kind: str, solve):
     return results, failures
 
 
-def _write_run(cfg: ExperimentConfig, kind: str, tables, records):
+def _write_run(cfg: ExperimentConfig, tables, records):
     """Write each (file name, header, rows) table into the output directory,
-    append one index record per (key, metrics, artifacts) with the tables'
-    paths ahead of its own artifacts, and flush index.json."""
+    add one index record of kind cfg.kind per (key, metrics, artifacts) with
+    the tables' paths ahead of its own artifacts, and flush index.json."""
     out = Path(cfg.out_dir)
     index = ResultIndex(out)
     paths = [write_csv(out / name, header, rows) for name, header, rows in tables]
     for key, metrics, artifacts in records:
-        index.add(kind, key, metrics, [*paths, *artifacts], cfg.seed)
+        index.add(cfg.kind, key, metrics, [*paths, *artifacts], cfg.seed)
     index.flush()
 
 
@@ -334,8 +335,8 @@ def run_phase_diagram(cfg: ExperimentConfig) -> int:
         return [L, lam, theta, summary.energies[0], summary.energies[1],
                 summary.gap, int(summary.near_degenerate)]
 
-    rows, failures = _sweep(cfg, "phase-diagram", point)
-    _write_run(cfg, "phase-diagram", [
+    rows, failures = _sweep(cfg, point)
+    _write_run(cfg, [
         ("phase_diagram.csv",
          ["L", "lambda", "theta", "E0", "E1", "gap", "near_degenerate"], rows),
     ], [({"L": cfg.L, "lambda": cfg.lam, "theta": cfg.theta},
@@ -358,8 +359,8 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> int:
             f"sorted_probs_L{L}_lam{lam:g}_theta{theta:.6f}.csv"), psi)
         return point_row, real_rows, probs
 
-    results, failures = _sweep(cfg, "degeneracy", point)
-    _write_run(cfg, "degeneracy", [
+    results, failures = _sweep(cfg, point)
+    _write_run(cfg, [
         ("degeneracy_points.csv",
          ["L", "lambda", "theta", "E0", "gap", "sign_psi",
           "sign_plus", "sign_minus", "eta"], [row for row, _, _ in results]),
@@ -381,13 +382,13 @@ def run_pi_rotation_compare(cfg: ExperimentConfig) -> int:
         return theta, rows, amps, summary.energies[0], best.trace.final_params
 
     L, lam = cfg.L[0], cfg.lam[0]
-    results, failures = _sweep(cfg, "pi-compare", point)
+    results, failures = _sweep(cfg, point)
     mapped_energy = float("nan")
     for theta, _, _, _, w in results:
         if theta == 0.0:
             w = functools.reduce(rbm.apply_pi_rotation, range(L), w)
             mapped_energy = sr.energy_and_variance(RotatedTfim(L, lam, np.pi), w)[0].real
-    _write_run(cfg, "pi-compare", [
+    _write_run(cfg, [
         ("pi_compare_realizations.csv", ["L", "lambda", "theta", *REALIZATION_COLUMNS],
          [row for _, rows, _, _, _ in results for row in rows]),
     ], [({"L": L, "lambda": lam},
@@ -408,8 +409,8 @@ def run_uniformity_sweep(cfg: ExperimentConfig) -> int:
                     sign_exact, summary.gap, best.config.eta]
         return rows, best_row
 
-    results, failures = _sweep(cfg, "uniformity", point)
-    _write_run(cfg, "uniformity", [
+    results, failures = _sweep(cfg, point)
+    _write_run(cfg, [
         ("uniformity_realizations.csv",
          ["L", "lambda", "theta", "alpha", *REALIZATION_COLUMNS, "sign_exact"],
          [row for rows, _ in results for row in rows]),
@@ -421,51 +422,46 @@ def run_uniformity_sweep(cfg: ExperimentConfig) -> int:
     return failures
 
 
-def _cumulant_point(cfg: ExperimentConfig, point_seed: int,
-                    L: int, lam: float, theta: float, alpha: float):
-    """Cumulant comparison at one grid point: writes the best RBM's checkpoint
-    and the point's curve and coefficient tables; returns its index record."""
-    out = Path(cfg.out_dir)
-    summary, _, best = _solve_and_train(cfg, point_seed, L, lam, theta, alpha)
-    psi = summary.states[:, 0]
-    key = {"L": L, "lambda": lam, "theta": theta, "alpha": alpha}
-
-    tag = f"L{L}_lam{lam:g}_theta{theta:.6f}_alpha{alpha:g}"
-    ns = cumulant.default_n_grid(L)
-    exact_curve, rbm_curve = (cumulant.infidelity_curve(s, psi, ns) for s in (psi, best.state))
-    n_var = best.trace.final_params.n_var
-
-    c_exact, c_model = map(cumulant.cumulant_coefficients, (psi, best.state))
-    ranking, rel_err = cumulant.coefficient_relative_errors(c_model, c_exact)
-    orders = cumulant.subset_orders(L)
-
-    a1 = write_csv(out / f"infidelity_curve_{tag}.csv",
-                   ["N", "infidelity_exact_trunc", "infidelity_rbm_trunc", "n_var"],
-                   [[n, ie, ir, n_var] for (n, ie), (_, ir) in zip(exact_curve, rbm_curve)])
-    a2 = write_csv(out / f"coefficients_{tag}.csv",
-                   ["rank", "bitmask", "order", "re_c_exact", "im_c_exact",
-                    "abs_c_exact", "re_c_rbm", "im_c_rbm", "abs_c_rbm", "rel_error"],
-                   [[rank, int(mask), int(orders[mask]),
-                     c_exact[mask].real, c_exact[mask].imag, abs(c_exact[mask]),
-                     c_model[mask].real, c_model[mask].imag, abs(c_model[mask]),
-                     rel_err[rank]] for rank, mask in enumerate(ranking)])
-    ckpt = out / f"rbm_{tag}.json"
-    ckpt.write_text(rbm.to_json(best.trace.final_params,
-                                meta={**key, "seed": best.seed, "eta": best.config.eta}))
-    *_, rel_energy_error, rbm_infidelity = _realization_columns(best, best, summary)
-    return key, {"n_var": n_var, "eta": best.config.eta, "rbm_infidelity": rbm_infidelity,
-                 "rel_energy_error": rel_energy_error}, [a1, a2, ckpt]
-
-
 def run_cumulant_analysis(cfg: ExperimentConfig) -> int:
-    records, failures = _sweep(cfg, "cumulant", functools.partial(_cumulant_point, cfg))
-    _write_run(cfg, "cumulant", [], records)
-    return failures
+    """The cumulant and size-scaling runner; they differ only in the axes
+    they sweep. At each grid point it writes the best RBM's checkpoint and
+    the point's curve and coefficient tables, and adds one index record."""
+    out = Path(cfg.out_dir)
 
+    def point(seed, L, lam, theta, alpha):
+        summary, _, best = _solve_and_train(cfg, seed, L, lam, theta, alpha)
+        psi = summary.states[:, 0]
+        key = {"L": L, "lambda": lam, "theta": theta, "alpha": alpha}
 
-def run_size_scaling(cfg: ExperimentConfig) -> int:
-    records, failures = _sweep(cfg, "size-scaling", functools.partial(_cumulant_point, cfg))
-    _write_run(cfg, "size-scaling", [], records)
+        tag = f"L{L}_lam{lam:g}_theta{theta:.6f}_alpha{alpha:g}"
+        ns = cumulant.default_n_grid(L)
+        exact_curve, rbm_curve = (cumulant.infidelity_curve(s, psi, ns)
+                                  for s in (psi, best.state))
+        n_var = best.trace.final_params.n_var
+
+        c_exact, c_model = map(cumulant.cumulant_coefficients, (psi, best.state))
+        ranking, rel_err = cumulant.coefficient_relative_errors(c_model, c_exact)
+        orders = cumulant.subset_orders(L)
+
+        a1 = write_csv(out / f"infidelity_curve_{tag}.csv",
+                       ["N", "infidelity_exact_trunc", "infidelity_rbm_trunc", "n_var"],
+                       [[n, ie, ir, n_var] for (n, ie), (_, ir) in zip(exact_curve, rbm_curve)])
+        a2 = write_csv(out / f"coefficients_{tag}.csv",
+                       ["rank", "bitmask", "order", "re_c_exact", "im_c_exact",
+                        "abs_c_exact", "re_c_rbm", "im_c_rbm", "abs_c_rbm", "rel_error"],
+                       [[rank, int(mask), int(orders[mask]),
+                         c_exact[mask].real, c_exact[mask].imag, abs(c_exact[mask]),
+                         c_model[mask].real, c_model[mask].imag, abs(c_model[mask]),
+                         rel_err[rank]] for rank, mask in enumerate(ranking)])
+        ckpt = out / f"rbm_{tag}.json"
+        ckpt.write_text(rbm.to_json(best.trace.final_params,
+                                    meta={**key, "seed": best.seed, "eta": best.config.eta}))
+        *_, rel_energy_error, rbm_infidelity = _realization_columns(best, best, summary)
+        return key, {"n_var": n_var, "eta": best.config.eta, "rbm_infidelity": rbm_infidelity,
+                     "rel_energy_error": rel_energy_error}, [a1, a2, ckpt]
+
+    records, failures = _sweep(cfg, point)
+    _write_run(cfg, [], records)
     return failures
 
 
@@ -475,6 +471,6 @@ RUNNERS = {
     "pi-compare": run_pi_rotation_compare,
     "uniformity": run_uniformity_sweep,
     "cumulant": run_cumulant_analysis,
-    "size-scaling": run_size_scaling,
+    "size-scaling": run_cumulant_analysis,
 }
 KINDS = tuple(RUNNERS)

@@ -340,7 +340,7 @@ def test_cumulant_points_keep_grid_order_and_seeds(tmp_path):
 
 def test_size_scaling_runner(tmp_path):
     cfg = tiny_config("size-scaling", tmp_path, L=[2, 3], n_iter=40)
-    assert experiments.run_size_scaling(cfg) == 0
+    assert RUNNERS["size-scaling"](cfg) == 0
     curves = [p for p in tmp_path.iterdir() if p.name.startswith("infidelity_curve_")]
     assert len(curves) == 2
     records = json.loads((tmp_path / "index.json").read_text())
