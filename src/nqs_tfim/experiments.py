@@ -11,8 +11,9 @@ sr.run_all. A point that raises is counted and logged as one WARNING
 record with its traceback, "<kind> grid point (L, lambda, theta, alpha)
 failed: <error>", and the sweep goes on. At the end the runner writes
 tidy CSV files (the column schemas below are the interface; plotting is
-out of scope) and appends to `index.json` one record per run, or one per
-point that succeeded for cumulant and size-scaling.
+out of scope) and adds to `index.json` one record per run, or one per
+point that succeeded for cumulant and size-scaling; a rerun into the same
+directory replaces the records it repeats.
 """
 
 import csv
@@ -216,7 +217,8 @@ def _write_sorted_probabilities(path: Path, psi):
 
 
 class ResultIndex:
-    """Append-only run index stored as index.json in the output directory."""
+    """Run index stored as index.json in the output directory: one record
+    per kind, key and master seed."""
 
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
@@ -227,20 +229,26 @@ class ResultIndex:
             self.records = json.loads(self.path.read_text())
 
     def add(self, kind: str, key: dict, metrics: dict, artifacts: list, seed: int):
-        """Append a record; its run_id depends only on the kind, the record's
-        position and the key and master seed, so reruns repeat it. The
-        record also holds the thread count each loaded OpenBLAS reported
-        when this index was opened."""
+        """Add a record, or replace in place the record of the same kind,
+        key and master seed, whose files a rerun has just overwritten. Its
+        run_id depends only on the kind, the record's position and a digest
+        of the key and master seed, so a rerun repeats it. The record also
+        holds the thread count each loaded OpenBLAS reported when this index
+        was opened."""
         digest = hashlib.sha256(
-            json.dumps([key, seed], sort_keys=True).encode()).hexdigest()
-        self.records.append({
-            "run_id": f"{kind}-{len(self.records)}-{digest[:12]}",
+            json.dumps([key, seed], sort_keys=True).encode()).hexdigest()[:12]
+        pos = next((i for i, rec in enumerate(self.records)
+                    if rec["kind"] == kind and rec["run_id"].endswith(f"-{digest}")),
+                   len(self.records))
+        record = {
+            "run_id": f"{kind}-{pos}-{digest}",
             "kind": kind,
             "key": key,
             "metrics": metrics,
             "artifacts": [str(a) for a in artifacts],
             "blas_threads": dict(self.blas_threads),
-        })
+        }
+        self.records[pos:pos + 1] = [record]
 
     def flush(self):
         """Write index.json through a temp file and a rename, so a failed

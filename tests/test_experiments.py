@@ -348,12 +348,28 @@ def test_size_scaling_runner(tmp_path):
 
 
 def test_index_is_append_only(tmp_path):
-    cfg = tiny_config("phase-diagram", tmp_path, L=[2])
-    experiments.run_phase_diagram(cfg)
-    experiments.run_phase_diagram(cfg)
+    # a run with another master seed adds a record and keeps the first
+    experiments.run_phase_diagram(tiny_config("phase-diagram", tmp_path, L=[2]))
+    experiments.run_phase_diagram(tiny_config("phase-diagram", tmp_path, L=[2], seed=8))
     index = json.loads((tmp_path / "index.json").read_text())
     assert len(index) == 2
     assert index[0]["run_id"] != index[1]["run_id"]
+
+
+@pytest.mark.parametrize("kind, grid", [("phase-diagram", {"L": [2]}),
+                                        ("size-scaling", {"L": [2, 3], "n_iter": 20})])
+def test_rerun_replaces_its_index_records_in_place(tmp_path, kind, grid):
+    cfg = tiny_config(kind, tmp_path, **grid)
+    other = tiny_config(kind, tmp_path, **grid, seed=8)
+    assert RUNNERS[kind](cfg) == 0
+    first = (tmp_path / "index.json").read_bytes()
+    assert RUNNERS[kind](cfg) == 0
+    assert (tmp_path / "index.json").read_bytes() == first
+    # between two runs of one seed, another seed's records stay after them
+    assert RUNNERS[kind](other) == 0
+    assert RUNNERS[kind](cfg) == 0
+    index = json.loads((tmp_path / "index.json").read_text())
+    assert index[:len(index) // 2] == json.loads(first)
 
 
 def test_run_ids_repeat_across_fresh_directories(tmp_path):
