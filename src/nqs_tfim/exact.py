@@ -242,14 +242,19 @@ def check_state_pair(phi: np.ndarray, psi: np.ndarray) -> None:
                          "two 1-D vectors of one length")
 
 
+def overlap(psi: np.ndarray, phi: np.ndarray) -> complex:
+    """<psi|phi>, summed by numpy's pairwise sums, not by a BLAS dot
+    product, which splits long vectors over threads; so the result does not
+    depend on the BLAS thread count."""
+    return np.sum(np.conj(psi) * phi)
+
+
 def infidelity(phi: np.ndarray, psi: np.ndarray) -> float:
-    """1 - |<psi|phi>|^2 / (<psi|psi><phi|phi>), global-phase invariant. The
-    states are normalized and their overlap summed by numpy, not BLAS, so
-    the result does not depend on the BLAS thread count."""
+    """1 - |<psi|phi>|^2 / (<psi|psi><phi|phi>), global-phase invariant,
+    from the overlap of the normalized states."""
     phi, psi = np.asarray(phi, complex), np.asarray(psi, complex)
     check_state_pair(phi, psi)
-    overlap = np.sum(normalize(psi).conj() * normalize(phi))
-    return float(max(0.0, 1.0 - abs(overlap) ** 2))
+    return float(max(0.0, 1.0 - abs(overlap(normalize(psi), normalize(phi))) ** 2))
 
 
 def relative_energy_error(e_var: float, e0: float) -> float:

@@ -359,7 +359,7 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> int:
         plus, minus = exact.degenerate_superpositions(psi, psi1)
         real_rows = [[L, lam, theta, alpha, *_realization_columns(r, best, summary),
                       _safe_sign_average(r.state, tol=VARIATIONAL_REAL_TOL),
-                      *(abs(np.vdot(v, r.state)) ** 2 for v in (psi, plus, minus))]
+                      *(abs(exact.overlap(v, r.state)) ** 2 for v in (psi, plus, minus))]
                      for r in runs]
         point_row = [L, lam, theta, summary.energies[0], summary.gap,
                      *map(_safe_sign_average, (psi, plus, minus)), best.config.eta]

@@ -89,8 +89,9 @@ def test_sr_energies_do_not_depend_on_thread_count_over_several_blocks():
 
 
 def test_states_at_l14_do_not_depend_on_thread_count():
-    # the norm of a 2^14-entry state, and the overlap and norms of an
-    # infidelity; a BLAS dot product splits them over threads
+    # the norm of a 2^14-entry state, the overlap and norms of an
+    # infidelity, and an overlap as the degeneracy runner takes it; a BLAS
+    # dot product splits them over threads
     libs = _blas.openblas_libraries()
     if not libs:
         pytest.skip("no OpenBLAS loaded in this environment")
@@ -105,7 +106,8 @@ def test_states_at_l14_do_not_depend_on_thread_count():
             for setter, _ in libs.values():
                 setter(n)
             psi, phi = exact.ground_states(h).states, rbm.full_state_vector(w)
-            states[n] = psi, phi, exact.infidelity(phi, psi[:, 0])
+            states[n] = (psi, phi, exact.infidelity(phi, psi[:, 0]),
+                         exact.overlap(psi[:, 0], phi))
     finally:
         for name, (setter, _) in libs.items():
             setter(before[name])
