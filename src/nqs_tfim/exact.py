@@ -6,11 +6,12 @@ of size 2^(L-1), from one half-size CSR matrix A and the top-site flip B
 A block is formed densely and solved for L <= DENSE_SOLVE_MAX_SITES, and
 above that, up to SOLVER_MAX_SITES, applied as A v +- b * v[::-1] by
 `_lanczos`: a three-term Lanczos recurrence with a thick restart that holds
-at most LANCZOS_BASIS vectors, and deflation for more than one level. The
-residual check applies H(theta) from its definition
-(`hamiltonian.apply_from_definition`), so no matrix of H(theta) is built.
+at most LANCZOS_BASIS vectors. Each block gives its lowest eigenpair, and
+the two are the two lowest levels of H(theta). The residual check applies
+H(theta) from its definition (`hamiltonian.apply_from_definition`), so no
+matrix of H(theta) is built.
 The states are the columns of a Fortran-ordered array: each is contiguous,
-so what reads `states[:, j]` sums it in the same order whatever k is.
+so what reads `states[:, j]` sums it in the same order for k = 1 and 2.
 """
 
 from dataclasses import dataclass
@@ -72,55 +73,49 @@ class SpectrumSummary:
 
 
 def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
-    """Lowest k eigenpairs of H(theta), from the two parity sectors of H(0).
+    """The lowest k = 1 or 2 eigenpairs of H(theta), from the two parity
+    sectors of H(0).
 
     H(theta) = V H(0) V^T (`hamiltonian.rotate`), and H(0) splits into an
     even and an odd block of size 2^(L-1) (`RotatedTfim.parity_sectors`).
-    Each block is solved by a dense symmetric solve for L <= 9 and by
-    `_lanczos` for 9 < L <= 16, whose start vector is seeded, so repeated
-    calls return bit-identical states. For k <= 2 each block gives its
-    lowest eigenpair: the two lowest levels of the open chain are the two
-    sector minima, since the first excitation flips one fermion and with it
-    the parity. For k > 2 each block gives its k lowest. The levels are
+    Each block gives its lowest eigenpair, by a dense symmetric solve for
+    L <= 9 and by `_lanczos` for 9 < L <= 16, whose start vector is
+    seeded, so repeated calls return bit-identical states. The two lowest
+    levels of the open chain are the two sector minima, since the first
+    excitation flips one fermion and with it the parity. The pairs are
     merged by energy (even first on an exact tie), embedded as
     (u, +-u reversed) and rotated by V(theta). The real rotated vectors,
-    normalized, are checked against H(theta) by their residuals, all k at
-    once and with no matrix (`hamiltonian.apply_from_definition`); then
+    normalized, are checked against H(theta) by their residuals, in one
+    pass and with no matrix (`hamiltonian.apply_from_definition`); then
     each is normalized as a complex vector, phase-fixed and stored as a
     contiguous column. In the (near-)degenerate ferromagnet the two states
-    are therefore parity eigenstates, not a rounding-dependent mix. k must
-    lie in [1, 2^L], and below 2^(L-1) where Lanczos is used (k <= 511 at
-    L = 10).
+    are therefore parity eigenstates, not a rounding-dependent mix.
     """
+    if k not in (1, 2):
+        raise ValueError(f"k={k}: ground_states solves the lowest 1 or 2 levels")
     if h.L > SOLVER_MAX_SITES:
         raise ValueError(f"exact solver refused for L={h.L} > {SOLVER_MAX_SITES}")
     half = h.dim // 2
     dense = h.L <= DENSE_SOLVE_MAX_SITES
-    k_max = h.dim if dense else half - 1
-    if not 1 <= k <= k_max:
-        raise ValueError(f"k={k} outside [1, {k_max}] at L={h.L}")
-    per_sector = min(1 if k <= 2 else k, half)
-
     a, b = h.parity_sectors
     if dense:
         a, rows = a.toarray(), np.arange(half)
-    energies, vecs = [], []
-    for sign, parity in zip((1.0, -1.0), ("even", "odd")):
+    energies, vecs = np.empty(2), np.empty((h.dim, 2))
+    for j, (sign, parity) in enumerate(zip((1.0, -1.0), ("even", "odd"))):
         sb = sign * b
         if dense:
             block = a.copy()
             block[rows, rows[::-1]] += sb          # A +- B
-            e, u = scipy.linalg.eigh(block, subset_by_index=[0, per_sector - 1])
+            e, u = scipy.linalg.eigh(block, subset_by_index=[0, 0])
+            energies[j], u = e[0], u[:, 0]
         else:
             def block_matvec(v, a=a, sb=sb):       # (A +- B) v
                 w = a @ v
                 w += sb * v[::-1]
                 return w
-            e, u = _lanczos(block_matvec, half, per_sector,
-                            f"L={h.L}, lambda={h.lam:g}, {parity} parity block")
-        energies.append(e)
-        vecs.append(np.concatenate([u, sign * u[::-1]]))
-    energies, vecs = np.concatenate(energies), np.concatenate(vecs, axis=1)
+            energies[j], u = _lanczos(block_matvec, half,
+                                      f"L={h.L}, lambda={h.lam:g}, {parity} parity block")
+        vecs[:half, j], vecs[half:, j] = u, sign * u[::-1]
     order = np.argsort(energies, kind="stable")[:k]
     energies, vecs = energies[order], hamiltonian.rotate(h, vecs[:, order])
 
@@ -133,74 +128,62 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     states = np.empty((h.dim, k), dtype=complex, order="F")   # contiguous columns
     for j in range(k):
         states[:, j] = fix_phase(normalize(vecs[:, j]))
-    return SpectrumSummary(np.asarray(energies, dtype=float), states)
+    return SpectrumSummary(energies, states)
 
 
-def _lanczos(matvec, n: int, n_low: int, name: str):
-    """(energies, vectors): the n_low lowest eigenpairs of the real
-    symmetric n x n matrix H that `matvec` applies to a vector, one column
-    of `vectors` per energy.
+def _lanczos(matvec, n: int, name: str):
+    """(energy, vector): the lowest eigenpair of the real symmetric n x n
+    matrix H that `matvec` applies to a vector.
 
-    The pairs are found one at a time, each by its own run of the
-    three-term Lanczos recurrence (Lanczos, J. Res. NBS 45, 255 (1950))
-    from one start vector drawn from a generator seeded with 0. Each new
-    Lanczos vector is orthogonalized against the eigenvectors already
-    found, so a run sees the matrix deflated by them, and against nothing
-    else. The basis holds at most LANCZOS_BASIS vectors; when it is full,
-    the run keeps its LANCZOS_BASIS // 4 lowest Ritz vectors and goes on
-    from the residual (thick restart; Wu & Simon, SIAM J. Matrix Anal.
-    Appl. 22, 602 (2000)). Each time the basis has grown by that many
-    vectors, the lowest Ritz pair (theta, y) is tested, and it is taken
-    when its residual ||H y - theta y|| = beta |s_last| is at most
-    LANCZOS_TOL * max(|theta|, eps^(2/3)), the rule of ARPACK. A run that
-    takes more than LANCZOS_MAX_STEPS steps raises RuntimeError, naming
-    the matrix by `name`.
+    The pair is found by the three-term Lanczos recurrence (Lanczos,
+    J. Res. NBS 45, 255 (1950)) from one start vector drawn from a
+    generator seeded with 0. The basis holds at most LANCZOS_BASIS
+    vectors; when it is full, the run keeps its LANCZOS_BASIS // 4 lowest
+    Ritz vectors and goes on from the residual (thick restart; Wu & Simon,
+    SIAM J. Matrix Anal. Appl. 22, 602 (2000)). Each time the basis has
+    grown by that many vectors, the lowest Ritz pair (theta, y) is tested,
+    and it is taken when its residual ||H y - theta y|| = beta |s_last| is
+    at most LANCZOS_TOL * max(|theta|, eps^(2/3)), the rule of ARPACK. A
+    run that takes more than LANCZOS_MAX_STEPS steps raises RuntimeError,
+    naming the matrix by `name`.
     """
     keep = LANCZOS_BASIS // 4
     floor = np.finfo(float).eps ** (2 / 3)
     start = np.random.default_rng(0).standard_normal(n)
-    found, energies = np.empty((n_low, n)), np.empty(n_low)
     basis = np.empty((LANCZOS_BASIS + 1, n))
-    t = np.empty((LANCZOS_BASIS, LANCZOS_BASIS))   # basis^T H basis
-    for i in range(n_low):
-        locked = found[:i]
-        v = start - (locked @ start) @ locked
-        basis[0] = v / np.linalg.norm(v)
-        t[:] = 0.0
-        j = kept = 0
-        for _ in range(LANCZOS_MAX_STEPS):
-            w = matvec(basis[j])
-            if j > kept:
-                daxpy(basis[j - 1], w, a=-beta)    # in place in w
-            elif kept:                              # first step after a restart
-                w -= t[j, :j] @ basis[:j]
-            alpha = basis[j] @ w
-            daxpy(basis[j], w, a=-alpha)
-            if i:
-                w -= (locked @ w) @ locked
-            beta = np.linalg.norm(w)
-            t[j, j] = alpha
-            j += 1
-            restart = j == LANCZOS_BASIS
-            if restart or j % keep == 0 or beta == 0.0:
-                theta, s = _lowest_eigenpairs(t[:j, :j], keep if restart else 1)
-                if beta * abs(s[-1, 0]) <= LANCZOS_TOL * max(abs(theta[0]), floor):
-                    break
-                if restart:                         # keep the lowest Ritz vectors
-                    basis[:keep] = s.T @ basis[:j]
-                    t[:] = 0.0
-                    t[range(keep), range(keep)] = theta
-                    t[keep, :keep] = t[:keep, keep] = beta * s[-1]
-                    j = kept = keep
-            if j > kept:
-                t[j, j - 1] = t[j - 1, j] = beta
-            np.divide(w, beta, out=basis[j])
-        else:
-            raise RuntimeError(f"Lanczos did not converge in {LANCZOS_MAX_STEPS} steps "
-                               f"for the {name}")
-        y = s[:, 0] @ basis[:j]
-        found[i], energies[i] = y / np.linalg.norm(y), theta[0]
-    return energies, found.T
+    basis[0] = start / np.linalg.norm(start)
+    t = np.zeros((LANCZOS_BASIS, LANCZOS_BASIS))   # basis^T H basis
+    j = kept = 0
+    for _ in range(LANCZOS_MAX_STEPS):
+        w = matvec(basis[j])
+        if j > kept:
+            daxpy(basis[j - 1], w, a=-beta)        # in place in w
+        elif kept:                                  # first step after a restart
+            w -= t[j, :j] @ basis[:j]
+        alpha = basis[j] @ w
+        daxpy(basis[j], w, a=-alpha)
+        beta = np.linalg.norm(w)
+        t[j, j] = alpha
+        j += 1
+        restart = j == LANCZOS_BASIS
+        if restart or j % keep == 0 or beta == 0.0:
+            theta, s = _lowest_eigenpairs(t[:j, :j], keep if restart else 1)
+            if beta * abs(s[-1, 0]) <= LANCZOS_TOL * max(abs(theta[0]), floor):
+                break
+            if restart:                             # keep the lowest Ritz vectors
+                basis[:keep] = s.T @ basis[:j]
+                t[:] = 0.0
+                t[range(keep), range(keep)] = theta
+                t[keep, :keep] = t[:keep, keep] = beta * s[-1]
+                j = kept = keep
+        if j > kept:
+            t[j, j - 1] = t[j - 1, j] = beta
+        np.divide(w, beta, out=basis[j])
+    else:
+        raise RuntimeError(f"Lanczos did not converge in {LANCZOS_MAX_STEPS} steps "
+                           f"for the {name}")
+    y = s[:, 0] @ basis[:j]
+    return theta[0], y / np.linalg.norm(y)
 
 
 def _lowest_eigenpairs(t: np.ndarray, count: int):

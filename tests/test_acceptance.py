@@ -35,14 +35,19 @@ def random_rbm(rng, L, M=None, scale=0.3):
 
 
 def test_01_spectrum_invariance():
-    L, k = 8, 4
+    # the whole spectrum of H(theta) against that of H(0), and the two
+    # levels ED solves against its lowest two
+    L = 8
     thetas = [0.0, 0.1 * np.pi, 0.25 * np.pi, 0.5 * np.pi, np.pi]
     worst = 0.0
     for lam in (0.5, 1.0, 1.5):
-        ref = exact.ground_states(RotatedTfim(L, lam, thetas[0]), k=k).energies
-        for theta in thetas[1:]:
-            e = exact.ground_states(RotatedTfim(L, lam, theta), k=k).energies
-            worst = max(worst, float(np.max(np.abs(e - ref))))
+        ref = np.linalg.eigvalsh(RotatedTfim(L, lam, thetas[0]).elements.toarray())
+        for theta in thetas:
+            h = RotatedTfim(L, lam, theta)
+            e = np.linalg.eigvalsh(h.elements.toarray())
+            e2 = exact.ground_states(h, k=2).energies
+            worst = max(worst, float(np.max(np.abs(e - ref))),
+                        float(np.max(np.abs(e2 - ref[:2]))))
     report(1, "spectrum invariant under basis rotation", worst < 1e-9,
            f"max deviation {worst:.2e}")
 

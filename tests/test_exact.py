@@ -25,9 +25,9 @@ def test_ground_states_matches_dense_oracle():
 
 def test_ground_states_residuals_and_order():
     h = RotatedTfim(8, 1.2, 0.3)
-    summary = exact.ground_states(h, k=4)
+    summary = exact.ground_states(h, k=2)
     assert np.all(np.diff(summary.energies) >= -1e-12)
-    for j in range(4):
+    for j in range(2):
         v = summary.states[:, j]
         res = np.linalg.norm(hamiltonian.matvec(h, v) - summary.energies[j] * v)
         assert res < 1e-8
@@ -86,9 +86,9 @@ def test_lanczos_matches_dense_solve_for_several_levels(monkeypatch, L, lam, the
     # state, so the seeded random start is what finds it
     h = RotatedTfim(L, lam, theta)
     monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", exact.SOLVER_MAX_SITES)
-    dense = exact.ground_states(h, k=6)
+    dense = exact.ground_states(h, k=2)
     monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", 0)
-    for k in (1, 2, 4, 6):
+    for k in (1, 2):
         lanczos = exact.ground_states(h, k=k)
         assert np.max(np.abs(lanczos.energies - dense.energies[:k])) < 1e-10, k
         for j in range(k):
@@ -106,8 +106,8 @@ def test_lanczos_start_vector_reaches_below_the_all_ones_vector():
     edges.setdiag(0.0)
     m = (edges - scipy.sparse.diags(np.asarray(edges.sum(axis=1)).ravel())).tocsr()
     assert not np.any(m @ np.full(256, 1 / 16))
-    energies, _ = exact._lanczos(lambda v: m @ v, 256, 1, "test matrix")
-    assert abs(energies[0] - np.linalg.eigvalsh(m.toarray())[0]) < 1e-10
+    energy, _ = exact._lanczos(lambda v: m @ v, 256, "test matrix")
+    assert abs(energy - np.linalg.eigvalsh(m.toarray())[0]) < 1e-10
 
 
 def test_lanczos_refuses_to_run_past_its_step_cap(monkeypatch):
@@ -169,9 +169,9 @@ def test_gap_shrinks_in_broken_phase():
 
 
 def test_eigenvalue_theta_invariance():
-    ref = exact.ground_states(RotatedTfim(10, 0.9, 0.0), k=4).energies
+    ref = exact.ground_states(RotatedTfim(10, 0.9, 0.0), k=2).energies
     for theta in (0.1 * np.pi, 0.5 * np.pi):
-        ev = exact.ground_states(RotatedTfim(10, 0.9, theta), k=4).energies
+        ev = exact.ground_states(RotatedTfim(10, 0.9, theta), k=2).energies
         assert np.max(np.abs(ev - ref)) < 1e-9
 
 
@@ -273,7 +273,7 @@ def test_sector_solve_matches_full_spectrum(L):
         for theta in (0.0, 0.3, np.pi / 2):
             h = RotatedTfim(L, lam, theta)
             ref = np.linalg.eigvalsh(h.elements.toarray())
-            for k in range(1, min(4, h.dim) + 1):
+            for k in (1, 2):
                 energies = exact.ground_states(h, k=k).energies
                 assert np.max(np.abs(energies - ref[:k])) < 1e-12, (lam, theta, k)
 
@@ -295,17 +295,10 @@ def test_ferromagnet_doublet_is_a_parity_pair_on_both_paths(monkeypatch, theta):
         assert parities[0] * parities[1] < 0
 
 
-@pytest.mark.parametrize("L, k", [(3, 0), (3, -1), (3, 9), (11, 1024)])
+@pytest.mark.parametrize("L, k", [(3, 0), (3, -1), (3, 3), (3, 9), (11, 4), (11, 1024)])
 def test_ground_states_checks_k_before_solving(L, k):
     h = RotatedTfim(L, 1.0, 0.3)
     with pytest.raises(ValueError, match=f"k={k}"):
         exact.ground_states(h, k=k)
     assert "parity_sectors" not in h.__dict__
 
-
-def test_ground_states_accepts_every_level():
-    h = RotatedTfim(3, 0.8, 0.4)
-    summary = exact.ground_states(h, k=8)
-    ref = np.linalg.eigvalsh(h.elements.toarray())
-    assert np.max(np.abs(summary.energies - ref)) < 1e-12
-    assert np.allclose(summary.states.conj().T @ summary.states, np.eye(8), atol=1e-12)
