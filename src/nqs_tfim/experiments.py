@@ -3,17 +3,18 @@
 Each runner walks, in order, the grid of a range-checked ExperimentConfig:
 an `itertools.product` of (L, lambda, theta, alpha). SWEPT_AXES names the
 axes each kind sweeps; the config refuses a second value on any other
-axis, so none is dropped. Point p gets seed
-SeedSequence([master, p]) and its realization i SeedSequence([point_seed,
-i]) (see sr.derive_seed). A training point solves ED for the two lowest
-states, then runs its search trials, if any, and realizations through
-sr.run_all. A point that raises is counted and logged as one WARNING
-record with its traceback, "<kind> grid point (L, lambda, theta, alpha)
-failed: <error>", and the sweep goes on. At the end the runner writes
-tidy CSV files (the column schemas below are the interface; plotting is
-out of scope) and adds to `index.json` one record per run, or one per
-point that succeeded for cumulant and size-scaling; a rerun into the same
-directory replaces the records it repeats.
+axis, so none is dropped, and a repeated value on any axis, so no point
+runs twice. Point p gets seed SeedSequence([master, p]) and its
+realization i SeedSequence([point_seed, i]) (see sr.derive_seed). A
+training point solves ED for the two lowest states, then runs its search
+trials, if any, and realizations through sr.run_all. A point that raises
+is counted and logged as one WARNING record with its traceback, "<kind>
+grid point (L, lambda, theta, alpha) failed: <error>", and the sweep goes
+on. At the end the runner writes tidy CSV files (the column schemas below
+are the interface; plotting is out of scope) and adds to `index.json` one
+record per run, or one per point that succeeded for cumulant and
+size-scaling; a rerun into the same directory replaces the records it
+repeats.
 """
 
 import csv
@@ -79,6 +80,10 @@ class ExperimentConfig:
             values = getattr(self, name)
             if not values:
                 raise _out_of_range(name, "needs at least one value")
+            repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+            if repeated is not None:
+                raise _out_of_range(name, f"repeats the value {repeated!r}; each point "
+                                          f"runs once, got {values}")
             if len(values) > 1 and name not in SWEPT_AXES[self.kind]:
                 raise _out_of_range(name, f"takes one value, since {self.kind} does not "
                                           f"sweep it; got {values}")
@@ -170,17 +175,21 @@ def load_config(path, kind: str | None = None, **overrides) -> ExperimentConfig:
     """Read a YAML experiment file (nested sections grid/rbm/sr/output),
     parsed by YAML_LOADER, through YAML_FIELDS. Unknown keys and values
     that do not convert are errors that name the key (`grid.L`), and so
-    is grid.theta for pi-compare, which always compares theta = 0 with
-    theta = pi. Overrides that are not None replace config fields;
-    ExperimentConfig range-checks every value and names the field and its
-    YAML key."""
+    are grid.theta for pi-compare, which always compares theta = 0 with
+    theta = pi, and a `kind` other than the one asked for. Overrides that
+    are not None replace config fields; ExperimentConfig range-checks
+    every value and names the field and its YAML key."""
     with open(path) as fh:
         doc = yaml.load(fh, Loader=YAML_LOADER) or {}
     _check_keys(path, doc, TOP_KEYS)
     sections = {None: doc, **{name: doc.get(name) or {} for name in SECTION_KEYS}}
     for name in SECTION_KEYS:
         _check_keys(path, sections[name], SECTION_KEYS[name], f"{name}.")
-    kind = kind or doc.get("kind")
+    named = doc.get("kind")
+    if kind and named and named != kind:
+        raise ValueError(f"{path}: config key kind is {named!r}, but the "
+                         f"{kind} experiment was asked for")
+    kind = kind or named
     if kind == "pi-compare" and "theta" in sections["grid"]:
         raise ValueError(f"{path}: pi-compare always runs theta in {{0, pi}}; "
                          "remove grid.theta")

@@ -190,7 +190,10 @@ def test_load_config_refuses_values_that_fail_every_point(tmp_path, text, named)
     ("grid:\n  L: [99]\n",
      f"L must be in [1, {exact.SOLVER_MAX_SITES}], got 99 (config key grid.L)"),
     ("sr:\n  n_iter: 0\n", "n_iter must be >= 1, got 0 (config key sr.n_iter)"),
-], ids=["grid.lambda", "grid.L", "sr.n_iter"])
+    ("grid:\n  theta: [0.5pi, 1.5707963267948966]\n",
+     "theta repeats the value 1.5707963267948966; each point runs once, got "
+     "[1.5707963267948966, 1.5707963267948966] (config key grid.theta)"),
+], ids=["grid.lambda", "grid.L", "sr.n_iter", "grid.theta-repeated"])
 def test_range_check_names_the_field_and_its_yaml_key(tmp_path, text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         experiments.load_config(write_yaml(tmp_path, "kind: uniformity\n" + text))
@@ -242,6 +245,28 @@ def test_config_refuses_a_second_value_on_an_axis_the_kind_does_not_sweep(
     with pytest.raises(ValueError, match=re.escape(
             f"(config key {experiments.FIELD_KEYS[axis]})")):
         tiny_config(kind, tmp_path, **{axis: TWO_VALUES[axis]})
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("L", [3, 4, 3]), ("lam", [0.5, 0.5]), ("theta", [0.0, 0.0]),
+    ("theta", ["0.5pi", 0.5 * np.pi]), ("alpha", [1.0, 2.0, 1.0])],
+    ids=["L", "lam", "theta", "theta-pi-string", "alpha"])
+def test_config_refuses_a_repeated_grid_value(tmp_path, axis, values):
+    # every kind refuses it, whether it sweeps the axis or not
+    key = re.escape(experiments.FIELD_KEYS[axis])
+    for kind in KINDS:
+        with pytest.raises(ValueError, match=rf"{axis} repeats the value .*\(config key {key}\)"):
+            tiny_config(kind, tmp_path, **{axis: values})
+
+
+def test_config_file_of_another_kind_is_refused(tmp_path):
+    path = experiments.default_config_path("cumulant", "ci")
+    with pytest.raises(ValueError, match="config key kind is 'cumulant'.*degeneracy"):
+        experiments.load_config(path, kind="degeneracy")
+    with pytest.raises(ValueError, match="config key kind"):
+        cli.main(["degeneracy", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+    assert experiments.load_config(path, kind="cumulant").kind == "cumulant"
 
 
 # -------------------------------------------------------------------- runners
@@ -336,6 +361,24 @@ def test_cumulant_points_keep_grid_order_and_seeds(tmp_path):
         point_seed = sr.derive_seed(cfg.seed, p)
         assert meta["seed"] in [sr.derive_seed(point_seed, i)
                                 for i in range(cfg.n_realizations)]
+
+
+def test_search_sets_each_points_eta(tmp_path):
+    # with eta: search, a point trains with the eta of the best trial of
+    # sr.hyperparameter_search run from that point's seed
+    cfg = tiny_config("uniformity", tmp_path, theta=[0.0, 0.3], eta=None,
+                      search_trials=3, search_n_iter=10, n_iter=20)
+    assert experiments.run_uniformity_sweep(cfg) == 0
+    rows = read_csv(tmp_path / "uniformity_best.csv")
+    etas = [float(row[rows[0].index("eta")]) for row in rows[1:]]
+    search_base = sr.SrConfig(epsilon=cfg.epsilon, n_iter=cfg.search_n_iter,
+                              alpha=cfg.alpha[0], init_scale=cfg.init_scale)
+    for p, (theta, eta) in enumerate(zip(cfg.theta, etas)):
+        best = sr.hyperparameter_search(RotatedTfim(3, 1.5, theta), cfg.search_trials,
+                                        sr.derive_seed(cfg.seed, p), search_base)
+        assert eta == best.config.eta
+        assert sr.ETA_SEARCH_RANGE[0] <= eta <= sr.ETA_SEARCH_RANGE[1]
+    assert etas[0] != etas[1]
 
 
 def test_size_scaling_runner(tmp_path):
@@ -446,12 +489,13 @@ def test_runner_survives_an_ed_failure(tmp_path, monkeypatch, caplog, kind, csv_
 
 
 def test_every_failure_is_logged(tmp_path, monkeypatch, caplog):
-    # two identical failures give two records (a warning filter would
-    # print the repeated message once)
+    # two identical failures, one per run of one config, give two records
+    # (a warning filter would print the repeated message once)
     failing_ground_states(monkeypatch, 0.0)
-    cfg = tiny_config("phase-diagram", tmp_path, L=[2], theta=[0.0, 0.0])
+    cfg = tiny_config("phase-diagram", tmp_path, L=[2], theta=[0.0])
     with caplog.at_level(logging.WARNING, logger="nqs_tfim.experiments"):
-        assert experiments.run_phase_diagram(cfg) == 2
+        assert experiments.run_phase_diagram(cfg) == 1
+        assert experiments.run_phase_diagram(cfg) == 1
     records = [r for r in caplog.records if "injected ED failure" in r.getMessage()]
     assert len(records) == 2
     assert records[0].getMessage() == records[1].getMessage()
