@@ -2,7 +2,8 @@
 
 The same runners back the `nqs-tfim` command-line tool; calling them from
 Python makes it easy to script custom sweeps. Everything is deterministic
-given the master seed, and every run appends a record to index.json.
+given the master seed. Every run adds its record to index.json, and a
+rerun of the same kind, key and master seed replaces its record in place.
 """
 
 import json

@@ -80,10 +80,8 @@ class ExperimentConfig:
             values = getattr(self, name)
             if not values:
                 raise _out_of_range(name, "needs at least one value")
-            repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
-            if repeated is not None:
-                raise _out_of_range(name, f"repeats the value {repeated!r}; each point "
-                                          f"runs once, got {values}")
+            if len(set(values)) < len(values):
+                raise _out_of_range(name, f"repeats a value; each point runs once, got {values}")
             if len(values) > 1 and name not in SWEPT_AXES[self.kind]:
                 raise _out_of_range(name, f"takes one value, since {self.kind} does not "
                                           f"sweep it; got {values}")

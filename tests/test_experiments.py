@@ -191,7 +191,7 @@ def test_load_config_refuses_values_that_fail_every_point(tmp_path, text, named)
      f"L must be in [1, {exact.SOLVER_MAX_SITES}], got 99 (config key grid.L)"),
     ("sr:\n  n_iter: 0\n", "n_iter must be >= 1, got 0 (config key sr.n_iter)"),
     ("grid:\n  theta: [0.5pi, 1.5707963267948966]\n",
-     "theta repeats the value 1.5707963267948966; each point runs once, got "
+     "theta repeats a value; each point runs once, got "
      "[1.5707963267948966, 1.5707963267948966] (config key grid.theta)"),
 ], ids=["grid.lambda", "grid.L", "sr.n_iter", "grid.theta-repeated"])
 def test_range_check_names_the_field_and_its_yaml_key(tmp_path, text, message):
@@ -255,7 +255,7 @@ def test_config_refuses_a_repeated_grid_value(tmp_path, axis, values):
     # every kind refuses it, whether it sweeps the axis or not
     key = re.escape(experiments.FIELD_KEYS[axis])
     for kind in KINDS:
-        with pytest.raises(ValueError, match=rf"{axis} repeats the value .*\(config key {key}\)"):
+        with pytest.raises(ValueError, match=rf"{axis} repeats a value.*\(config key {key}\)"):
             tiny_config(kind, tmp_path, **{axis: values})
 
 
