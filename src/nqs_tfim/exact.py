@@ -1,15 +1,16 @@
 """Exact diagonalization, state-vector metrics and sign diagnostics.
 
 `ground_states` solves the even and odd parity blocks A +- B of H(0), each
-of size 2^(L-1), from one half-size CSR matrix A and the top-site flip B
+of size 2^(L-1), through their operators v -> (A +- B) v
 (`RotatedTfim.parity_sectors`), and rotates the eigenvectors to H(theta).
-A block is formed densely and solved for L <= DENSE_SOLVE_MAX_SITES, and
-above that, up to SOLVER_MAX_SITES, applied as A v +- b * v[::-1] by
-`_lanczos`: a three-term Lanczos recurrence with a thick restart that holds
-at most LANCZOS_BASIS vectors. Each block gives its lowest eigenpair, and
-the two are the two lowest levels of H(theta). The residual check applies
-H(theta) from its definition (`hamiltonian.apply_from_definition`), so no
-matrix of H(theta) is built.
+For L <= DENSE_SOLVE_MAX_SITES a block is formed as its operator applied to
+the identity and solved densely; above that, up to SOLVER_MAX_SITES,
+`_lanczos` applies it to one vector per step: a three-term Lanczos
+recurrence with a thick restart that holds at most LANCZOS_BASIS vectors.
+Each block gives its lowest eigenpair, and the two are the two lowest
+levels of H(theta). The residual check applies H(theta) from its
+definition (`hamiltonian.apply_from_definition`), so no matrix of H(theta)
+is built.
 The states are the columns of a Fortran-ordered array: each is contiguous,
 so what reads `states[:, j]` sums it in the same order for k = 1 and 2.
 """
@@ -77,57 +78,48 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     sectors of H(0).
 
     H(theta) = V H(0) V^T (`hamiltonian.rotate`), and H(0) splits into an
-    even and an odd block of size 2^(L-1) (`RotatedTfim.parity_sectors`).
-    Each block gives its lowest eigenpair, by a dense symmetric solve for
-    L <= 9 and by `_lanczos` for 9 < L <= 16, whose start vector is
-    seeded, so repeated calls return bit-identical states. The two lowest
-    levels of the open chain are the two sector minima, since the first
-    excitation flips one fermion and with it the parity. The pairs are
-    merged by energy (even first on an exact tie), embedded as
-    (u, +-u reversed) and rotated by V(theta). The real rotated vectors,
-    normalized, are checked against H(theta) by their residuals, in one
-    pass and with no matrix (`hamiltonian.apply_from_definition`); then
-    each is normalized as a complex vector, phase-fixed and stored as a
-    contiguous column. In the (near-)degenerate ferromagnet the two states
-    are therefore parity eigenstates, not a rounding-dependent mix.
+    even and an odd block of size 2^(L-1), given as two operators
+    (`RotatedTfim.parity_sectors`). Each block gives its lowest eigenpair:
+    for L <= 9 by a dense symmetric solve of the operator applied to the
+    identity, and for 9 < L <= 16 by `_lanczos` on the operator, whose
+    start vector is seeded, so repeated calls return bit-identical states.
+    The two lowest levels of the open chain are the two sector minima,
+    since the first excitation flips one fermion and with it the parity.
+    The pairs are merged by energy (even first on an exact tie), embedded
+    as (u, +-u reversed) and rotated by V(theta). Each is normalized once,
+    phase-fixed and stored as a contiguous column; the real parts of these
+    columns are checked against H(theta) by their residuals, in one pass
+    and with no matrix (`hamiltonian.apply_from_definition`). In the
+    (near-)degenerate ferromagnet the two states are therefore parity
+    eigenstates, not a rounding-dependent mix.
     """
     if k not in (1, 2):
         raise ValueError(f"k={k}: ground_states solves the lowest 1 or 2 levels")
     if h.L > SOLVER_MAX_SITES:
         raise ValueError(f"exact solver refused for L={h.L} > {SOLVER_MAX_SITES}")
     half = h.dim // 2
-    dense = h.L <= DENSE_SOLVE_MAX_SITES
-    a, b = h.parity_sectors
-    if dense:
-        a, rows = a.toarray(), np.arange(half)
     energies, vecs = np.empty(2), np.empty((h.dim, 2))
-    for j, (sign, parity) in enumerate(zip((1.0, -1.0), ("even", "odd"))):
-        sb = sign * b
-        if dense:
-            block = a.copy()
-            block[rows, rows[::-1]] += sb          # A +- B
-            e, u = scipy.linalg.eigh(block, subset_by_index=[0, 0])
+    for j, (block, sign, parity) in enumerate(zip(h.parity_sectors, (1.0, -1.0),
+                                                   ("even", "odd"))):
+        if h.L <= DENSE_SOLVE_MAX_SITES:
+            e, u = scipy.linalg.eigh(block(np.eye(half)), subset_by_index=[0, 0])
             energies[j], u = e[0], u[:, 0]
         else:
-            def block_matvec(v, a=a, sb=sb):       # (A +- B) v
-                w = a @ v
-                w += sb * v[::-1]
-                return w
-            energies[j], u = _lanczos(block_matvec, half,
+            energies[j], u = _lanczos(block, half,
                                       f"L={h.L}, lambda={h.lam:g}, {parity} parity block")
         vecs[:half, j], vecs[half:, j] = u, sign * u[::-1]
     order = np.argsort(energies, kind="stable")[:k]
     energies, vecs = energies[order], hamiltonian.rotate(h, vecs[:, order])
 
-    real = vecs / np.linalg.norm(vecs, axis=0)
+    states = np.empty((h.dim, k), dtype=complex, order="F")   # contiguous columns
+    for j in range(k):
+        states[:, j] = fix_phase(normalize(vecs[:, j]))
+    real = states.real
     res = np.linalg.norm(hamiltonian.apply_from_definition(h, real) - energies * real, axis=0)
     bad = np.flatnonzero(~(res <= EIG_RESIDUAL_TOL))
     if bad.size:
         j = bad[0]
         raise RuntimeError(f"eigenpair {j} residual {res[j]:.2e} exceeds {EIG_RESIDUAL_TOL}")
-    states = np.empty((h.dim, k), dtype=complex, order="F")   # contiguous columns
-    for j in range(k):
-        states[:, j] = fix_phase(normalize(vecs[:, j]))
     return SpectrumSummary(energies, states)
 
 

@@ -16,9 +16,10 @@ Every H(theta) is a site-by-site real rotation of the unrotated chain,
 H(theta) = V H(0) V^T with V = prod_i R_i(theta/2) (`rotate`), and H(0)
 commutes with the parity prod_i X_i, which maps x to its complement ~x.
 `RotatedTfim.parity_sectors` gives H(0) in the basis (|x> +- |~x>)/sqrt(2),
-x < 2^(L-1), as A +- B: one half-size CSR matrix A, built by `_mask_table`
-from H(0)'s term list for the rows x < 2^(L-1) only, and the top-site flip
-B, one value per row. Exact diagonalization solves the two blocks, rotates
+x < 2^(L-1), as the operators v -> (A +- B) v: A is one half-size CSR
+matrix, built by `_mask_table` from H(0)'s term list for those rows only,
+and B the top-site flip, one entry of one value per row. Exact
+diagonalization solves the two blocks through these operators, rotates
 the eigenvectors back and checks them with `apply_from_definition`, which
 applies H(theta) as 3L - 2 real 2x2 site maps, with no matrix, no term list
 and no `rotate`. So ED forms no full-size matrix of H(0) or H(theta).
@@ -71,30 +72,39 @@ class RotatedTfim:
 
     @cached_property
     def parity_sectors(self) -> tuple:
-        """(A, b): H(0) on the parity basis (|x> +- |~x>)/sqrt(2) is A +- B.
+        """(even, odd): H(0) on the parity basis (|x> +- |~x>)/sqrt(2), as the
+        functions v -> (A +- B) v of v with 2^(L-1) rows and any trailing
+        columns, each mapped alike.
 
         x runs over [0, 2^(L-1)) and ~x = x ^ (2^L - 1). The rows x of H(0)
         are built from its term list by `_mask_table`, as `elements` builds
         them, and nothing else of H(0) is formed. A is the CSR matrix of the
         flip masks that keep x below 2^(L-1), every mask but the top site's,
-        with one entry per mask in each row. B[x, y] = H(0)[x, ~y] holds the
-        top-site flip alone, one entry per row at column 2^(L-1) - 1 - x
-        (= ~(x ^ 2^(L-1))), whose values are b[x]; so (B v)[x] = b[x] v[::-1][x].
-        The even and odd blocks are A + B and A - B: parity symmetry gives
-        H(0)[~x, ~y] = H(0)[x, y]. b is 0 where the top site has no flip
-        term (lambda = 0). For L <= 2 the B entry shares its column with an
-        entry of A. Does not depend on theta.
+        one entry per mask in each row. B[x, y] = H(0)[x, ~y] is the top-site
+        flip, one entry per row at column 2^(L-1) - 1 - x, all of one value
+        b: -lambda from the table's top-site column, or 0 where
+        `_build_terms` drops the field term. So (B v)[x] = b v[::-1][x], and
+        parity symmetry makes A + B and A - B the even and odd blocks. For
+        L <= 2 the B entry shares its column with an entry of A. Does not
+        depend on theta.
         """
         half = self.dim // 2
         rows = np.arange(half, dtype=np.int32)
         masks, data = _mask_table(_build_terms(self.L, self.lam, 0.0), self.L, rows)
         top = masks == half   # H(0) flips single sites, so only this mask leaves the half
-        b = data[:, top][:, 0] if top.any() else np.zeros(half)
+        b = float(data[0, top][0]) if top.any() else 0.0
         indptr = np.arange(half + 1, dtype=np.int32) * int(np.count_nonzero(~top))
         a = scipy.sparse.csr_array(
             (data[:, ~top].ravel(), (rows[:, None] ^ masks[~top]).ravel(), indptr),
             shape=(half, half))
-        return a, b
+
+        def block(sb):
+            def apply(v):   # (A + sb B) v
+                w = a @ v
+                w += sb * v[::-1]
+                return w
+            return apply
+        return block(b), block(-b)
 
 
 def _mask_table(terms, L, rows):

@@ -321,15 +321,20 @@ def parity_projector(L, sign):
 
 
 def dense_sector_blocks(h):
-    """A + B and A - B of h.parity_sectors as dense arrays, B[x, 2^(L-1) - 1 - x] = b[x]."""
-    a, b = h.parity_sectors
-    rows = np.arange(h.dim // 2)
-    blocks = []
-    for sign in (1.0, -1.0):
-        block = a.toarray()
-        block[rows, rows[::-1]] += sign * b
-        blocks.append(block)
-    return blocks
+    """A + B and A - B of h.parity_sectors as dense arrays."""
+    return [block(np.eye(h.dim // 2)) for block in h.parity_sectors]
+
+
+@pytest.mark.parametrize("L", range(1, 11))
+@pytest.mark.parametrize("lam", [-0.7, 0.0, 0.9])
+def test_parity_sector_operators_map_each_column_alike(L, lam, rng):
+    h = RotatedTfim(L, lam, 0.3)
+    v = rng.normal(size=(h.dim // 2, 3))
+    for block in h.parity_sectors:
+        w = block(v)
+        assert w.shape == v.shape
+        for j in range(v.shape[1]):
+            assert np.array_equal(w[:, j], block(v[:, j]))
 
 
 @pytest.mark.parametrize("L", range(1, 7))
