@@ -63,9 +63,9 @@ multi_seed_run (realizations) only build that list.
 """
 
 import functools
+import logging
 import math
 import os
-import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -83,6 +83,8 @@ ETA_SEARCH_RANGE = (1e-5, 1e-1)
 ENERGY_TIE_RTOL = 1e-12
 # sites that vary inside one block of rbm.ROW_BLOCK rows
 LOW_SITES = rbm.ROW_BLOCK.bit_length() - 1
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -118,16 +120,15 @@ def local_energies(h: RotatedTfim, psi: np.ndarray) -> np.ndarray:
     """E_loc(s) = sum_{s'} H_{ss'} psi(s')/psi(s) for every configuration.
 
     Configurations whose amplitude underflowed to zero get E_loc = 0; they
-    carry zero Born weight but are flagged with a warning.
+    carry zero Born weight but are counted in a WARNING log record, one per
+    call.
     """
     psi = np.asarray(psi, dtype=complex)
     num = hamiltonian.matvec(h, psi)
     zero = psi == 0
     if np.any(zero):
-        warnings.warn(
-            f"{int(zero.sum())} configurations with zero amplitude excluded "
-            "from local energies", RuntimeWarning,
-        )
+        log.warning("%d configurations with zero amplitude excluded from local energies",
+                    int(zero.sum()))
     out = np.zeros(h.dim, dtype=complex)
     np.divide(num, psi, out=out, where=~zero)
     return out

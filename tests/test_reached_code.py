@@ -1,7 +1,10 @@
 """Every public function and method of the package has a caller outside the
 tests: its name appears, as a name or an attribute, in the code of `src/`,
 `demos/` or `perfbench/`. `rbm.from_json` is the one exception; it reads
-the runners' checkpoints back."""
+the runners' checkpoints back. And no module of the package calls
+`warnings.warn`: progress and failures go through logging, which reports
+every occurrence, where the default warnings filter shows one per code
+location."""
 
 import ast
 from pathlib import Path
@@ -49,3 +52,16 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     used = names_used()
     uncalled = {qualname for qualname, name in public_functions() if name not in used}
     assert uncalled == UNCALLED
+
+
+def test_no_module_calls_warnings_warn():
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.ImportFrom) and node.module == "warnings":
+                callers += [f"{path.stem}: from warnings import {alias.name}"
+                            for alias in node.names if alias.name == "warn"]
+            elif (isinstance(node, ast.Attribute) and node.attr == "warn"
+                  and isinstance(node.value, ast.Name) and node.value.id == "warnings"):
+                callers.append(f"{path.stem}:{node.lineno}")
+    assert callers == []

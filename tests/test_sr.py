@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import os
 import re
 import subprocess
@@ -54,11 +55,15 @@ def test_local_energies_match_single_config_version(rng):
         assert vec[s] == pytest.approx(local_energy(h, w, s), abs=1e-10)
 
 
-def test_local_energies_zero_amplitude_warns():
+def test_local_energies_zero_amplitude_warns(caplog):
     h = RotatedTfim(2, 1.0, 0.0)
     psi = np.array([1.0, 0.0, 1.0, 1.0], dtype=complex)
-    with pytest.warns(RuntimeWarning):
-        vec = sr.local_energies(h, psi)
+    with caplog.at_level(logging.WARNING, logger="nqs_tfim.sr"):
+        for _ in range(2):   # every call is logged, not only the first
+            vec = sr.local_energies(h, psi)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == 2 * [
+        ("nqs_tfim.sr", logging.WARNING,
+         "1 configurations with zero amplitude excluded from local energies")]
     assert vec[1] == 0.0
 
 
