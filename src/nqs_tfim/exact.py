@@ -137,13 +137,15 @@ def _lanczos(matvec, n: int, name: str):
     and it is taken when its residual ||H y - theta y|| = beta |s_last| is
     at most LANCZOS_TOL * max(|theta|, eps^(2/3)), the rule of ARPACK. A
     run that takes more than LANCZOS_MAX_STEPS steps raises RuntimeError,
-    naming the matrix by `name`.
+    naming the matrix by `name`. Dot products and norms are numpy's own
+    single-threaded sums, not BLAS reductions, which split long vectors
+    over threads; so the pair does not depend on the BLAS thread count.
     """
     keep = LANCZOS_BASIS // 4
     floor = np.finfo(float).eps ** (2 / 3)
     start = np.random.default_rng(0).standard_normal(n)
     basis = np.empty((LANCZOS_BASIS + 1, n))
-    basis[0] = start / np.linalg.norm(start)
+    basis[0] = start / np.sqrt(np.sum(start**2))
     t = np.zeros((LANCZOS_BASIS, LANCZOS_BASIS))   # basis^T H basis
     j = kept = 0
     for _ in range(LANCZOS_MAX_STEPS):
@@ -152,9 +154,9 @@ def _lanczos(matvec, n: int, name: str):
             daxpy(basis[j - 1], w, a=-beta)        # in place in w
         elif kept:                                  # first step after a restart
             w -= t[j, :j] @ basis[:j]
-        alpha = basis[j] @ w
+        alpha = np.einsum("i,i->", basis[j], w)
         daxpy(basis[j], w, a=-alpha)
-        beta = np.linalg.norm(w)
+        beta = np.sqrt(np.einsum("i,i->", w, w))
         t[j, j] = alpha
         j += 1
         restart = j == LANCZOS_BASIS
@@ -175,7 +177,7 @@ def _lanczos(matvec, n: int, name: str):
         raise RuntimeError(f"Lanczos did not converge in {LANCZOS_MAX_STEPS} steps "
                            f"for the {name}")
     y = s[:, 0] @ basis[:j]
-    return theta[0], y / np.linalg.norm(y)
+    return theta[0], y / np.sqrt(np.sum(y**2))
 
 
 def _lowest_eigenpairs(t: np.ndarray, count: int):

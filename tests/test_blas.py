@@ -89,30 +89,32 @@ def test_sr_energies_do_not_depend_on_thread_count_over_several_blocks():
 
 
 def test_states_at_l14_do_not_depend_on_thread_count():
-    # the norm of a 2^14-entry state, the overlap and norms of an
+    # the norm of a 2^L-entry state, the overlap and norms of an
     # infidelity, and an overlap as the degeneracy runner takes it; a BLAS
-    # dot product splits them over threads
+    # dot product splits them over threads. At L = 16 the Lanczos dot
+    # products and norms on 2^15-entry vectors too
     libs = _blas.openblas_libraries()
     if not libs:
         pytest.skip("no OpenBLAS loaded in this environment")
-    h = RotatedTfim(14, 1.5, 0.3)
     rng = np.random.default_rng(5)
-    w = rbm.RbmParameters(*(0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-                            for shape in ((14,), (14,), (14, 14))))
     before = {name: get() for name, (_, get) in libs.items()}
-    states = {}
-    try:
-        for n in (2, 1):
-            for setter, _ in libs.values():
-                setter(n)
-            psi, phi = exact.ground_states(h).states, rbm.full_state_vector(w)
-            states[n] = (psi, phi, exact.infidelity(phi, psi[:, 0]),
-                         exact.overlap(psi[:, 0], phi))
-    finally:
-        for name, (setter, _) in libs.items():
-            setter(before[name])
-    for at_one, at_two in zip(states[1], states[2]):
-        assert np.array_equal(at_one, at_two)
+    for L in (14, 16):
+        h = RotatedTfim(L, 1.5, 0.3)
+        w = rbm.RbmParameters(*(0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                                for shape in ((L,), (L,), (L, L))))
+        states = {}
+        try:
+            for n in (2, 1):
+                for setter, _ in libs.values():
+                    setter(n)
+                psi, phi = exact.ground_states(h).states, rbm.full_state_vector(w)
+                states[n] = (psi, phi, exact.infidelity(phi, psi[:, 0]),
+                             exact.overlap(psi[:, 0], phi))
+        finally:
+            for name, (setter, _) in libs.items():
+                setter(before[name])
+        for at_one, at_two in zip(states[1], states[2]):
+            assert np.array_equal(at_one, at_two), f"L={L}"
 
 
 def test_result_index_reads_thread_counts_without_probing_again(tmp_path, monkeypatch):
