@@ -3,14 +3,13 @@
 `ground_states` solves the even and odd parity blocks A +- B of H(0), each
 of size 2^(L-1), through their operators v -> (A +- B) v
 (`RotatedTfim.parity_sectors`), and rotates the eigenvectors to H(theta).
-For L <= DENSE_SOLVE_MAX_SITES a block is formed as its operator applied to
-the identity and solved densely; above that, up to SOLVER_MAX_SITES,
-`_lanczos` applies it to one vector per step: a three-term Lanczos
-recurrence with a thick restart that holds at most LANCZOS_BASIS vectors.
-Each block gives its lowest eigenpair, and the two are the two lowest
-levels of H(theta). The residual check applies H(theta) from its
-definition (`hamiltonian.apply_from_definition`), so no matrix of H(theta)
-is built.
+For L <= DENSE_SOLVE_MAX_SITES a block is its operator applied to the
+identity, solved densely; up to SOLVER_MAX_SITES, `_lanczos` applies it to
+one vector per step: a three-term Lanczos recurrence with a thick restart
+that holds at most LANCZOS_BASIS vectors. Each block gives its lowest
+eigenpair, and the two are the two lowest levels of H(theta). The residual
+check applies H(theta) from its definition
+(`hamiltonian.apply_from_definition`), so no matrix of H(theta) is built.
 The states are the columns of a Fortran-ordered array: each is contiguous,
 so what reads `states[:, j]` sums it in the same order for k = 1 and 2.
 """
@@ -78,20 +77,20 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     sectors of H(0).
 
     H(theta) = V H(0) V^T (`hamiltonian.rotate`), and H(0) splits into an
-    even and an odd block of size 2^(L-1), given as two operators
-    (`RotatedTfim.parity_sectors`). Each block gives its lowest eigenpair:
-    for L <= 9 by a dense symmetric solve of the operator applied to the
-    identity, and for 9 < L <= 16 by `_lanczos` on the operator, whose
-    start vector is seeded, so repeated calls return bit-identical states.
-    The two lowest levels of the open chain are the two sector minima,
-    since the first excitation flips one fermion and with it the parity.
-    The pairs are merged by energy (even first on an exact tie), embedded
-    as (u, +-u reversed) and rotated by V(theta). Each is normalized once,
-    phase-fixed and stored as a contiguous column; the real parts of these
-    columns are checked against H(theta) by their residuals, in one pass
-    and with no matrix (`hamiltonian.apply_from_definition`). In the
-    (near-)degenerate ferromagnet the two states are therefore parity
-    eigenstates, not a rounding-dependent mix.
+    even and an odd block of size 2^(L-1), each an operator
+    (`RotatedTfim.parity_sectors`). Each gives its lowest eigenpair: for
+    L <= 9 by a dense solve of the operator applied to the identity, for
+    9 < L <= 16 by `_lanczos`, whose start vector is seeded, so repeated
+    calls return bit-identical states. The two lowest levels of the open
+    chain are the two sector minima, since the first excitation flips one
+    fermion and with it the parity. The pairs are merged by energy (even
+    first on an exact tie), embedded as (u, +-u reversed), rotated by
+    V(theta), normalized once, phase-fixed and stored as contiguous
+    columns, whose real parts are checked against H(theta) by their
+    residuals, in one pass and with no matrix
+    (`hamiltonian.apply_from_definition`). In the (near-)degenerate
+    ferromagnet the two states are therefore parity eigenstates, not a
+    rounding-dependent mix.
     """
     if k not in (1, 2):
         raise ValueError(f"k={k}: ground_states solves the lowest 1 or 2 levels")
@@ -137,9 +136,8 @@ def _lanczos(matvec, n: int, name: str):
     and it is taken when its residual ||H y - theta y|| = beta |s_last| is
     at most LANCZOS_TOL * max(|theta|, eps^(2/3)), the rule of ARPACK. A
     run that takes more than LANCZOS_MAX_STEPS steps raises RuntimeError,
-    naming the matrix by `name`. Dot products and norms are numpy's own
-    single-threaded sums, not BLAS reductions, which split long vectors
-    over threads; so the pair does not depend on the BLAS thread count.
+    naming the matrix by `name`. Dot products and norms are numpy sums, not
+    BLAS, so the pair does not depend on the BLAS thread count.
     """
     keep = LANCZOS_BASIS // 4
     floor = np.finfo(float).eps ** (2 / 3)

@@ -154,13 +154,12 @@ def _build_terms(L, lam, theta):
 
 
 def matvec(h: RotatedTfim, v: np.ndarray) -> np.ndarray:
-    """H @ v from the cached CSR matrix, O(n_masks * 2^L), as a complex array.
+    """H @ v from the cached CSR matrix, O(n_masks * 2^L), always complex.
 
     v is applied as two real one-column products, to its real and to its
     imaginary part, so the real matrix is never converted to complex. From
     L = 10 up they are faster than one product to the (2^L, 2) real view,
-    scipy's multi-column kernel; the sums are the same. A real v comes back
-    with a zero imaginary part.
+    scipy's multi-column kernel; the sums are the same.
     """
     m, v = h.elements, np.asarray(v)
     out = np.empty(v.shape, dtype=complex)

@@ -83,7 +83,6 @@ ETA_SEARCH_RANGE = (1e-5, 1e-1)
 ENERGY_TIE_RTOL = 1e-12
 # sites that vary inside one block of rbm.ROW_BLOCK rows
 LOW_SITES = rbm.ROW_BLOCK.bit_length() - 1
-
 log = logging.getLogger(__name__)
 
 
@@ -120,8 +119,7 @@ def local_energies(h: RotatedTfim, psi: np.ndarray) -> np.ndarray:
     """E_loc(s) = sum_{s'} H_{ss'} psi(s')/psi(s) for every configuration.
 
     Configurations whose amplitude underflowed to zero get E_loc = 0; they
-    carry zero Born weight but are counted in a WARNING log record, one per
-    call.
+    carry zero Born weight but are counted in a logged WARNING.
     """
     psi = np.asarray(psi, dtype=complex)
     num = hamiltonian.matvec(h, psi)
