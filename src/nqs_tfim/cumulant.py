@@ -156,7 +156,7 @@ def _truncation_infidelity(log_a, reference, ref_norm, buffers) -> float:
     unnormalized amplitudes, since the infidelity does not depend on norm
     or global phase; their norm comes from the real magnitudes e^x. Real
     amplitudes are copied into the real part of the complex buffer, so
-    `np.vdot` makes no complex copy of them.
+    `np.vdot` makes no complex copy of them. NaN stays NaN.
     """
     mag, t, q, real_amps = buffers
     np.subtract(log_a.real, np.max(log_a.real), out=mag)
@@ -176,7 +176,8 @@ def _truncation_infidelity(log_a, reference, ref_norm, buffers) -> float:
         amps = real_amps
         amps.real = mag
     overlap = np.abs(np.vdot(reference, amps)) / (np.linalg.norm(mag) * ref_norm)
-    return float(max(0.0, 1.0 - overlap**2))
+    x = 1.0 - overlap**2
+    return 0.0 if x <= 0.0 else float(x)
 
 
 def coefficient_relative_errors(c_model: np.ndarray, c_exact: np.ndarray):

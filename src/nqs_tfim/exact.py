@@ -58,7 +58,7 @@ def fix_phase(psi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    energies: np.ndarray          # ascending, length k
+    energies: np.ndarray          # length k, ascending up to a tie (see ground_states)
     states: np.ndarray            # (2^L, k), normalized + phase-fixed contiguous columns
 
     @property
@@ -83,11 +83,12 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     9 < L <= 16 by `_lanczos`, whose start vector is seeded, so repeated
     calls return bit-identical states. The two lowest levels of the open
     chain are the two sector minima, since the first excitation flips one
-    fermion and with it the parity. The pairs are merged by energy (even
-    first on an exact tie), embedded as (u, +-u reversed), rotated by
-    V(theta), normalized once, phase-fixed and stored as contiguous
-    columns, whose real parts are checked against H(theta) by their
-    residuals, in one pass and with no matrix
+    fermion and with it the parity. The pairs are ordered by energy, even
+    first unless odd is lower by over LANCZOS_TOL relative, the solvers'
+    accuracy (so `gap` can read a rounding-size negative value), embedded
+    as (u, +-u reversed), rotated by V(theta), normalized once,
+    phase-fixed and stored as contiguous columns, whose real parts are
+    checked against H(theta) by their residuals, in one pass and with no matrix
     (`hamiltonian.apply_from_definition`). In the (near-)degenerate
     ferromagnet the two states are therefore parity eigenstates, not a
     rounding-dependent mix.
@@ -107,8 +108,8 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
             energies[j], u = _lanczos(block, half,
                                       f"L={h.L}, lambda={h.lam:g}, {parity} parity block")
         vecs[:half, j], vecs[half:, j] = u, sign * u[::-1]
-    order = np.argsort(energies, kind="stable")[:k]
-    energies, vecs = energies[order], hamiltonian.rotate(h, vecs[:, order])
+    order = [1, 0] if energies[1] < energies[0] - LANCZOS_TOL * abs(energies[0]) else [0, 1]
+    energies, vecs = energies[order[:k]], hamiltonian.rotate(h, vecs[:, order[:k]])
 
     states = np.empty((h.dim, k), dtype=complex, order="F")   # contiguous columns
     for j in range(k):
@@ -188,15 +189,15 @@ def _lowest_eigenpairs(t: np.ndarray, count: int):
 
 
 def sign_average(psi: np.ndarray, tol: float = REAL_STATE_TOL) -> float:
-    """Born-weighted mean sign sum_s |psi(s)|^2 sgn(psi(s)).
+    """Born-weighted mean sign sum_s |psi(s)|^2 sgn(psi(s)), sgn(0) = 0.
 
-    Requires a state that is real up to a global phase (imaginary parts
-    below `tol` after phase fixing); sgn(0) = 0. Variational states carry
-    optimization noise and need a looser tol than exact eigenvectors.
+    NaN unless the state is real up to a global phase (imaginary parts at
+    most `tol` after phase fixing). Variational states carry optimization
+    noise and need a looser tol than exact eigenvectors.
     """
     psi = fix_phase(normalize(psi))
     if np.max(np.abs(psi.imag)) > tol:
-        raise ValueError("sign average undefined: state not real up to global phase")
+        return float("nan")
     return float(np.sum(np.abs(psi) ** 2 * np.sign(psi.real)))
 
 
@@ -226,10 +227,11 @@ def overlap(psi: np.ndarray, phi: np.ndarray) -> complex:
 
 def infidelity(phi: np.ndarray, psi: np.ndarray) -> float:
     """1 - |<psi|phi>|^2 / (<psi|psi><phi|phi>), global-phase invariant,
-    from the overlap of the normalized states."""
+    from the overlap of the normalized states; NaN for a non-finite state."""
     phi, psi = np.asarray(phi, complex), np.asarray(psi, complex)
     check_state_pair(phi, psi)
-    return float(max(0.0, 1.0 - abs(overlap(normalize(psi), normalize(phi))) ** 2))
+    x = 1.0 - abs(overlap(normalize(psi), normalize(phi))) ** 2
+    return 0.0 if x <= 0.0 else float(x)
 
 
 def relative_energy_error(e_var: float, e0: float) -> float:

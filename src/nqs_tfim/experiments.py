@@ -10,11 +10,13 @@ training point solves ED for the two lowest states, then runs its search
 trials, if any, and realizations through sr.run_all. A point that raises
 is counted and logged as one WARNING record with its traceback, "<kind>
 grid point (L, lambda, theta, alpha) failed: <error>", and the sweep goes
-on. At the end the runner writes tidy CSV files (the column schemas below
-are the interface; plotting is out of scope) and adds to `index.json` one
+on. Per-point files (sorted probabilities or amplitudes, curves,
+coefficients, checkpoints) are written as each point completes; at the end
+the runner writes the aggregated CSV files (the column schemas below are
+the interface; plotting is out of scope) and adds to `index.json` one
 record per run, or one per point that succeeded for cumulant and
 size-scaling; a rerun into the same directory replaces the records it
-repeats.
+repeats. A metric of an undefined state is written as NaN.
 """
 
 import csv
@@ -334,13 +336,6 @@ def _realization_columns(run, best, summary) -> list:
 VARIATIONAL_REAL_TOL = 1e-3   # converged RBM states are real up to SR noise
 
 
-def _safe_sign_average(psi, tol: float = exact.REAL_STATE_TOL) -> float:
-    try:
-        return exact.sign_average(psi, tol=tol)
-    except ValueError:
-        return float("nan")
-
-
 # ---------------------------------------------------------------------------
 # runners; each returns the number of failed grid points
 
@@ -365,11 +360,11 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> int:
         psi, psi1 = summary.states[:, 0], summary.states[:, 1]
         plus, minus = exact.degenerate_superpositions(psi, psi1)
         real_rows = [[L, lam, theta, alpha, *_realization_columns(r, best, summary),
-                      _safe_sign_average(r.state, tol=VARIATIONAL_REAL_TOL),
+                      exact.sign_average(r.state, tol=VARIATIONAL_REAL_TOL),
                       *(abs(exact.overlap(v, r.state)) ** 2 for v in (psi, plus, minus))]
                      for r in runs]
         point_row = [L, lam, theta, summary.energies[0], summary.gap,
-                     *map(_safe_sign_average, (psi, plus, minus)), best.config.eta]
+                     *map(exact.sign_average, (psi, plus, minus)), best.config.eta]
         probs = _write_sorted_probabilities(Path(cfg.out_dir) / (
             f"sorted_probs_L{L}_lam{lam:g}_theta{theta:.6f}.csv"), psi)
         return point_row, real_rows, probs
@@ -417,7 +412,7 @@ def run_pi_rotation_compare(cfg: ExperimentConfig) -> int:
 def run_uniformity_sweep(cfg: ExperimentConfig) -> int:
     def point(seed, L, lam, theta, alpha):
         summary, runs, best = _solve_and_train(cfg, seed, L, lam, theta, alpha)
-        sign_exact = _safe_sign_average(summary.states[:, 0])
+        sign_exact = exact.sign_average(summary.states[:, 0])
         rows = [[L, lam, theta, alpha, *_realization_columns(r, best, summary), sign_exact]
                 for r in runs]
         best_row = [L, lam, theta, alpha, *_realization_columns(best, best, summary)[2:],

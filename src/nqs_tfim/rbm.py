@@ -182,12 +182,10 @@ def log_psi_all(w: RbmParameters) -> np.ndarray:
 
 
 def full_state_vector(w: RbmParameters) -> np.ndarray:
-    """Normalized, phase-fixed amplitudes over all 2^L configurations."""
+    """Normalized, phase-fixed amplitudes over all 2^L configurations; all
+    NaN when any is not finite, as after a run aborted on non-finite energy."""
     lp = log_psi_all(w)
-    amps = np.exp(lp - np.max(lp.real))
-    if not np.isfinite(amps).all():
-        raise ValueError("state vector degenerate: non-finite amplitudes")
-    return exact.fix_phase(exact.normalize(amps))
+    return exact.fix_phase(exact.normalize(np.exp(lp - np.max(lp.real))))
 
 
 def apply_pi_rotation(w: RbmParameters, j: int) -> RbmParameters:

@@ -46,8 +46,7 @@ def test_01_spectrum_invariance():
             h = RotatedTfim(L, lam, theta)
             e = np.linalg.eigvalsh(h.elements.toarray())
             e2 = exact.ground_states(h, k=2).energies
-            worst = max(worst, float(np.max(np.abs(e - ref))),
-                        float(np.max(np.abs(e2 - ref[:2]))))
+            worst = np.max([worst, np.max(np.abs(e - ref)), np.max(np.abs(e2 - ref[:2]))])
     report(1, "spectrum invariant under basis rotation", worst < 1e-9,
            f"max deviation {worst:.2e}")
 
@@ -65,7 +64,7 @@ def test_03_perron_frobenius_sign():
     worst = 0.0
     for theta in (0.0, np.pi / 2):
         psi = exact.ground_states(RotatedTfim(L, lam, theta)).states[:, 0]
-        worst = max(worst, abs(exact.sign_average(psi) - 1.0))
+        worst = np.maximum(worst, abs(exact.sign_average(psi) - 1.0))
     report(3, "stoquastic ground states have unit sign average", worst < 1e-10,
            f"max |1 - sign avg| {worst:.2e}")
 
@@ -85,7 +84,7 @@ def test_04_rbm_gradient_oracle():
             vm[k] -= step
             num = (rbm.log_psi_all(RbmParameters.from_vector(vp, L, w.M))[s]
                    - rbm.log_psi_all(RbmParameters.from_vector(vm, L, w.M))[s]) / (2 * step)
-            worst = max(worst, abs(grad[k] - num))
+            worst = np.maximum(worst, abs(grad[k] - num))
     report(4, "log-derivatives match finite differences", worst < 1e-6,
            f"max deviation {worst:.2e}")
 
@@ -101,15 +100,15 @@ def test_05_pi_rotation_exactness():
         for j in range(L):
             mapped = rbm.full_state_vector(rbm.apply_pi_rotation(w, j))
             applied = i_sigma_y(j, L) @ psi
-            worst_site = max(worst_site, exact.infidelity(mapped, applied))
+            worst_site = np.maximum(worst_site, exact.infidelity(mapped, applied))
         wr = w
         for j in range(L):
             wr = rbm.apply_pi_rotation(wr, j)
         rotated = rbm.full_state_vector(wr)
         phases = np.array([np.exp(1j * np.pi * (L - s.bit_count()))
                            for s in range(2**L)])
-        worst_chain = max(worst_chain,
-                          exact.infidelity(rotated, phases * psi[comp]))
+        worst_chain = np.maximum(worst_chain,
+                                 exact.infidelity(rotated, phases * psi[comp]))
     ok = worst_site < 1e-10 and worst_chain < 1e-10
     report(5, "pi-rotation parameter map is exact", ok,
            f"per-site {worst_site:.2e}, full-chain {worst_chain:.2e}")
@@ -194,7 +193,7 @@ def test_10_fwht_identities():
         L = int(rng.integers(1, 11))
         v = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
         back = cumulant.fwht(cumulant.fwht(v)) / (1 << L)
-        worst_inv = max(worst_inv, float(np.max(np.abs(back - v))))
+        worst_inv = np.maximum(worst_inv, np.max(np.abs(back - v)))
     worst_round = 0.0
     for _ in range(5):
         L = 6
@@ -202,8 +201,8 @@ def test_10_fwht_identities():
         psi += 3.0  # strictly nonzero amplitudes
         psi = exact.fix_phase(exact.normalize(psi))
         coeffs = cumulant.cumulant_coefficients(psi)
-        worst_round = max(worst_round,
-                          exact.infidelity(reconstruct(coeffs), psi))
+        worst_round = np.maximum(worst_round,
+                                 exact.infidelity(reconstruct(coeffs), psi))
     ok = worst_inv < 1e-12 and worst_round <= 1e-12
     report(10, "Walsh-Hadamard self-inverse and exact round trip", ok,
            f"inverse {worst_inv:.2e}, round trip {worst_round:.2e}")

@@ -346,6 +346,16 @@ def test_infidelity_curve_rejects_zero_reference():
         cumulant.infidelity_curve(psi, np.zeros(8), [1])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # NaN arithmetic
+def test_infidelity_curve_of_a_nan_state_is_nan():
+    psi = exact.ground_states(RotatedTfim(3, 1.5, 0.3)).states[:, 0]
+    nan = np.full(8, np.nan)
+    for source, reference in ((psi, nan), (nan, psi)):
+        curve = cumulant.infidelity_curve(source, reference, [1, 8])
+        assert [n for n, _ in curve] == [1, 8]
+        assert all(np.isnan(value) for _, value in curve)
+
+
 def test_infidelity_plateaus_at_truncation_level():
     # truncating the exact ground state: infidelity decreases with N and the
     # full reconstruction is exact

@@ -1,7 +1,8 @@
 """Every public function and method of the package has a caller outside the
 tests: its name appears, as a name or an attribute, in the code of `src/`,
 `demos/` or `perfbench/`. `rbm.from_json` is the one exception; it reads
-the runners' checkpoints back. And no module of the package calls
+the runners' checkpoints back. Every private module-level function has a
+caller in `src/` itself, so no helper outlives its last use. And no module of the package calls
 `warnings.warn`: progress and failures go through logging, which reports
 every occurrence, where the default warnings filter shows one per code
 location."""
@@ -34,11 +35,19 @@ def public_functions():
                     yield qualname, item.name
 
 
-def names_used():
-    """Every identifier read as a name or an attribute in src/, demos/ and
-    perfbench/."""
+def private_functions():
+    """(module.name, name) of every private module-level function."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in parse(path).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_")):
+                yield f"{path.stem}.{node.name}", node.name
+
+
+def names_used(folders=("src", "demos", "perfbench")):
+    """Every identifier read as a name or an attribute in the folders."""
     used = set()
-    for folder in ("src", "demos", "perfbench"):
+    for folder in folders:
         for path in (ROOT / folder).rglob("*.py"):
             for node in ast.walk(parse(path)):
                 if isinstance(node, ast.Name):
@@ -52,6 +61,11 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     used = names_used()
     uncalled = {qualname for qualname, name in public_functions() if name not in used}
     assert uncalled == UNCALLED
+
+
+def test_every_private_function_has_a_caller_in_src():
+    used = names_used(("src",))
+    assert {qualname for qualname, name in private_functions() if name not in used} == set()
 
 
 def test_no_module_calls_warnings_warn():

@@ -546,6 +546,16 @@ def test_multi_seed_run_never_picks_an_aborted_run(monkeypatch):
     assert best is runs[1]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the second run overflows
+def test_run_all_keeps_the_completed_run_when_another_ends_non_finite():
+    # at eta = 1e307 the parameters overflow before the divergence guard trips
+    runs, best = sr.run_all(RotatedTfim(4, 1.5, 0.3), [SrConfig(eta=0.02, n_iter=20, seed=1),
+                                                      SrConfig(eta=1e307, n_iter=20, seed=2)])
+    assert best is runs[0] and np.isfinite(best.state).all()
+    assert not runs[1].trace.converged
+    assert np.isnan(runs[1].state).all()
+
+
 def ending_one_ulp_lower_per_index(seeds, monkeypatch):
     """Patch sr.optimize so the run with seeds[i] ends at -2 minus i ulps."""
     real = sr.optimize
