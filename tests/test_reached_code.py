@@ -2,10 +2,10 @@
 tests: its name appears, as a name or an attribute, in the code of `src/`,
 `demos/` or `perfbench/`. `rbm.from_json` is the one exception; it reads
 the runners' checkpoints back. Every private module-level function has a
-caller in `src/` itself, so no helper outlives its last use. And no module of the package calls
-`warnings.warn`: progress and failures go through logging, which reports
-every occurrence, where the default warnings filter shows one per code
-location."""
+caller in `src/` itself, so no helper outlives its last use. And no module
+of the package calls `warnings.warn`: progress and failures go through
+logging, which reports every occurrence, where the default warnings filter
+shows one per code location."""
 
 import ast
 from pathlib import Path
