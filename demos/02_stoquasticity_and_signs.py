@@ -19,7 +19,7 @@ for frac in (0.0, 0.1, 0.25, 0.4, 0.5):
     theta = frac * np.pi
     h = RotatedTfim(L, lam, theta)
     psi = exact.ground_states(h).states[:, 0]
-    sign = exact.sign_average(psi)   # NaN for a state that is not real
+    sign = exact.sign_average(psi)   # Born-weighted mean of sgn(Re psi)
     print(f"{frac:9.2f} {str(is_stoquastic(h)):>11} {sign:14.6f}")
 
 # The sign-problem lower bound: replacing every off-diagonal element by

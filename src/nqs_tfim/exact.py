@@ -4,14 +4,16 @@
 of size 2^(L-1), through their operators v -> (A +- B) v
 (`RotatedTfim.parity_sectors`), and rotates the eigenvectors to H(theta).
 For L <= DENSE_SOLVE_MAX_SITES a block is its operator applied to the
-identity, solved densely; up to SOLVER_MAX_SITES, `_lanczos` applies it to
-one vector per step: a three-term Lanczos recurrence with a thick restart
-that holds at most LANCZOS_BASIS vectors. Each block gives its lowest
-eigenpair, and the two are the two lowest levels of H(theta). The residual
-check applies H(theta) from its definition
+identity, solved densely; above it, up to `hilbert.MAX_SITES`, `_lanczos`
+applies it to one vector per step: a three-term Lanczos recurrence with a
+thick restart that holds at most LANCZOS_BASIS vectors. Each block gives
+its lowest eigenpair, and the two are the two lowest levels of H(theta).
+The residual check applies H(theta) from its definition
 (`hamiltonian.apply_from_definition`), so no matrix of H(theta) is built.
 The states are the columns of a Fortran-ordered array: each is contiguous,
 so what reads `states[:, j]` sums it in the same order for k = 1 and 2.
+The sign diagnostics take the sign of an amplitude as that of its real
+part after phase fixing, with no tolerance.
 """
 
 from dataclasses import dataclass
@@ -25,13 +27,11 @@ from . import hamiltonian
 from .hamiltonian import RotatedTfim
 
 DENSE_SOLVE_MAX_SITES = 9
-SOLVER_MAX_SITES = 16
 LANCZOS_BASIS = 24
 LANCZOS_MAX_STEPS = 5000
 LANCZOS_TOL = 1e-12
 EIG_RESIDUAL_TOL = 1e-8
 NEAR_DEGENERACY_REL = 1e-6
-REAL_STATE_TOL = 1e-8
 
 
 def normalize(psi: np.ndarray) -> np.ndarray:
@@ -95,8 +95,6 @@ def ground_states(h: RotatedTfim, k: int = 2) -> SpectrumSummary:
     """
     if k not in (1, 2):
         raise ValueError(f"k={k}: ground_states solves the lowest 1 or 2 levels")
-    if h.L > SOLVER_MAX_SITES:
-        raise ValueError(f"exact solver refused for L={h.L} > {SOLVER_MAX_SITES}")
     half = h.dim // 2
     energies, vecs = np.empty(2), np.empty((h.dim, 2))
     for j, (block, sign, parity) in enumerate(zip(h.parity_sectors, (1.0, -1.0),
@@ -188,16 +186,15 @@ def _lowest_eigenpairs(t: np.ndarray, count: int):
     return theta[:count], s
 
 
-def sign_average(psi: np.ndarray, tol: float = REAL_STATE_TOL) -> float:
-    """Born-weighted mean sign sum_s |psi(s)|^2 sgn(psi(s)), sgn(0) = 0.
+def sign_average(psi: np.ndarray) -> float:
+    """Born-weighted mean sign sum_s |psi(s)|^2 sgn(Re psi(s)) of the
+    normalized, phase-fixed state, sgn(0) = 0; NaN only for a NaN state.
 
-    NaN unless the state is real up to a global phase (imaginary parts at
-    most `tol` after phase fixing). Variational states carry optimization
-    noise and need a looser tol than exact eigenvectors.
+    The sign is that of the real part, with no tolerance: an ED state is
+    real to the bit, and a trained RBM's imaginary parts are SR noise. For
+    a truly complex state this is the sign average of its real part.
     """
     psi = fix_phase(normalize(psi))
-    if np.max(np.abs(psi.imag)) > tol:
-        return float("nan")
     return float(np.sum(np.abs(psi) ** 2 * np.sign(psi.real)))
 
 
@@ -242,16 +239,10 @@ def relative_energy_error(e_var: float, e0: float) -> float:
 
 
 def sorted_probabilities(psi: np.ndarray):
-    """(probability, sign) pairs sorted by ascending probability.
-
-    Signs are taken on the real part after phase fixing; for genuinely
-    complex states all sign tags are 0.
-    """
+    """(probability, sign) pairs of the normalized, phase-fixed state,
+    sorted by ascending probability; the sign is sgn(Re psi), as in
+    `sign_average`."""
     psi = fix_phase(normalize(psi))
     probs = np.abs(psi) ** 2
-    if np.max(np.abs(psi.imag)) > REAL_STATE_TOL:
-        signs = np.zeros_like(probs)
-    else:
-        signs = np.sign(psi.real)
     order = np.argsort(probs, kind="stable")
-    return list(zip(probs[order].tolist(), signs[order].tolist()))
+    return list(zip(probs[order].tolist(), np.sign(psi.real)[order].tolist()))

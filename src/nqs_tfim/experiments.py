@@ -16,7 +16,8 @@ the runner writes the aggregated CSV files (the column schemas below are
 the interface; plotting is out of scope) and adds to `index.json` one
 record per run, or one per point that succeeded for cumulant and
 size-scaling; a rerun into the same directory replaces the records it
-repeats. A metric of an undefined state is written as NaN.
+repeats. A metric of an undefined state is written as NaN; a sign average
+is NaN only for the NaN state of an aborted run (`exact.sign_average`).
 """
 
 import csv
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import _blas, cumulant, exact, rbm, sr
+from . import _blas, cumulant, exact, hilbert, rbm, sr
 from .hamiltonian import RotatedTfim
 from .sr import SrConfig
 
@@ -88,8 +89,8 @@ class ExperimentConfig:
                 raise _out_of_range(name, f"takes one value, since {self.kind} does not "
                                           f"sweep it; got {values}")
         for L, alpha in itertools.product(self.L, self.alpha):
-            if not 1 <= L <= exact.SOLVER_MAX_SITES:
-                raise _out_of_range("L", f"must be in [1, {exact.SOLVER_MAX_SITES}], got {L}")
+            if not 1 <= L <= hilbert.MAX_SITES:
+                raise _out_of_range("L", f"must be in [1, {hilbert.MAX_SITES}], got {L}")
             try:
                 rbm.n_hidden(L, alpha)
             except ValueError as err:   # M < 1
@@ -333,9 +334,6 @@ def _realization_columns(run, best, summary) -> list:
             exact.infidelity(run.state, summary.states[:, 0])]
 
 
-VARIATIONAL_REAL_TOL = 1e-3   # converged RBM states are real up to SR noise
-
-
 # ---------------------------------------------------------------------------
 # runners; each returns the number of failed grid points
 
@@ -360,7 +358,7 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> int:
         psi, psi1 = summary.states[:, 0], summary.states[:, 1]
         plus, minus = exact.degenerate_superpositions(psi, psi1)
         real_rows = [[L, lam, theta, alpha, *_realization_columns(r, best, summary),
-                      exact.sign_average(r.state, tol=VARIATIONAL_REAL_TOL),
+                      exact.sign_average(r.state),
                       *(abs(exact.overlap(v, r.state)) ** 2 for v in (psi, plus, minus))]
                      for r in runs]
         point_row = [L, lam, theta, summary.energies[0], summary.gap,

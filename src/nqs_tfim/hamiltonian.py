@@ -33,7 +33,6 @@ import scipy.sparse
 
 from . import hilbert
 
-DENSE_MAX_SITES = 14
 COEFF_DROP_TOL = 1e-14
 STOQUASTIC_TOL = 1e-12
 
@@ -218,8 +217,6 @@ def apply_from_definition(h: RotatedTfim, v: np.ndarray) -> np.ndarray:
 
 def is_stoquastic(h: RotatedTfim) -> bool:
     """True iff every off-diagonal matrix element is <= STOQUASTIC_TOL."""
-    if h.L > DENSE_MAX_SITES:
-        raise ValueError(f"stoquasticity scan refused for L={h.L} > {DENSE_MAX_SITES}")
     m = h.elements.tocoo()
     return not np.any(m.data[m.row != m.col] > STOQUASTIC_TOL)
 

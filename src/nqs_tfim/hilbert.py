@@ -6,8 +6,9 @@ A configuration is an integer index in [0, 2^L). Bit i encodes site i
 
 import numpy as np
 
-# State vectors of 2^L complex amplitudes; 24 sites ~ 256 MB.
-MAX_SITES = 24
+# The largest chain: ED, every shipped config and every paper run stop at
+# L = 16, where a state vector of 2^L complex amplitudes takes 1 MB.
+MAX_SITES = 16
 
 
 def check_sites(L: int) -> None:

@@ -183,8 +183,12 @@ def log_psi_all(w: RbmParameters) -> np.ndarray:
 
 def full_state_vector(w: RbmParameters) -> np.ndarray:
     """Normalized, phase-fixed amplitudes over all 2^L configurations; all
-    NaN when any is not finite, as after a run aborted on non-finite energy."""
-    lp = log_psi_all(w)
+    NaN when any log amplitude is not finite, as after a run aborted on
+    non-finite energy, computed with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lp = log_psi_all(w)
+    if not np.isfinite(lp).all():
+        return np.full(len(lp), np.nan, dtype=complex)
     return exact.fix_phase(exact.normalize(np.exp(lp - np.max(lp.real))))
 
 

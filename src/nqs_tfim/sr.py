@@ -381,6 +381,7 @@ def solve_sr_system(s_mat: np.ndarray, f: np.ndarray, epsilon: float) -> np.ndar
     return delta
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def optimize(h: RotatedTfim, cfg: SrConfig) -> OptimizationTrace:
     """Evaluate n_iter parameter sets, from a seeded random initialization
     and n_iter - 1 SR steps; final_params is the last set evaluated.
@@ -391,7 +392,9 @@ def optimize(h: RotatedTfim, cfg: SrConfig) -> OptimizationTrace:
     variance, force or S entry, on a failed solve, or on divergence: a
     parameter norm above DIVERGENCE_FACTOR * max(||w_0||, 1), with w_0 the
     initial parameters. An energy bound could not serve, since every
-    variational energy lies within the spectrum.
+    variational energy lies within the spectrum. Floating-point overflow,
+    invalid and divide-by-zero raise no numpy warning here: those checks
+    turn every such value into the abort reason.
     """
     L = h.L
     M = rbm.n_hidden(L, cfg.alpha)
@@ -478,11 +481,15 @@ class Run:
 def run_all(h: RotatedTfim, configs) -> tuple[list, Run]:
     """optimize at each config in order; returns (runs, best), best the
     lowest finite final energy among the runs that did not abort, the first
-    among ties within ENERGY_TIE_RTOL. RuntimeError, naming each run's eta
-    and outcome, if no run qualifies."""
+    among ties within ENERGY_TIE_RTOL. Each run that aborted is logged as
+    one WARNING naming its eta, seed and abort_reason. RuntimeError, naming
+    each run's eta and outcome, if no run qualifies."""
     runs = []
     for cfg in configs:
         trace = optimize(h, cfg)
+        if not trace.converged:
+            log.warning("SR run at eta=%g, seed %d aborted: %s",
+                        cfg.eta, cfg.seed, trace.abort_reason)
         runs.append(Run(cfg, trace, rbm.full_state_vector(trace.final_params)))
     best = _lowest([r.energy if r.trace.converged else np.nan for r in runs])
     if best is None:

@@ -177,7 +177,7 @@ def test_09_degeneracy_pathology():
     plus, minus = exact.degenerate_superpositions(psi, psi1)
     cfg = SrConfig(eta=0.02, n_iter=1000, seed=555, alpha=1.0)
     _, best = sr.multi_seed_run(h, cfg, 3)
-    sign = exact.sign_average(best.state, tol=1e-3)
+    sign = exact.sign_average(best.state)
     ov_psi = abs(np.vdot(psi, best.state)) ** 2
     ov_minus = abs(np.vdot(minus, best.state)) ** 2
     ok = sign >= 0.9 and ov_psi < ov_minus

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from nqs_tfim import cumulant, exact, hamiltonian, rbm
+from nqs_tfim import cumulant, exact, hamiltonian, hilbert, rbm
 from nqs_tfim.hamiltonian import RotatedTfim
 
 from conftest import parity_expectation
@@ -69,7 +69,7 @@ def test_ed_columns_do_not_depend_on_k(L):
 @pytest.mark.parametrize("L", [9, 10, 11])
 def test_dense_and_lanczos_paths_agree(monkeypatch, L, lam, theta):
     h = RotatedTfim(L, lam, theta)
-    monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", exact.SOLVER_MAX_SITES)
+    monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", hilbert.MAX_SITES)
     dense = exact.ground_states(h, k=2)
     monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", 0)
     lanczos = exact.ground_states(h, k=2)
@@ -85,7 +85,7 @@ def test_lanczos_matches_dense_solve_for_several_levels(monkeypatch, L, lam, the
     # at lam < 0 an all-ones start vector is orthogonal to a block's ground
     # state, so the seeded random start is what finds it
     h = RotatedTfim(L, lam, theta)
-    monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", exact.SOLVER_MAX_SITES)
+    monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", hilbert.MAX_SITES)
     dense = exact.ground_states(h, k=2)
     monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", 0)
     for k in (1, 2):
@@ -189,9 +189,22 @@ def test_sign_average_perron_frobenius():
         assert exact.sign_average(psi) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_sign_average_of_a_complex_state_is_nan():
+def test_sign_average_of_a_complex_state_reads_its_real_part():
+    # after phase fixing the signs of the real parts are +, 0, +, 0
     v = exact.normalize(np.array([1.0, 1.0j, 0.5, 0.0]))
-    assert np.isnan(exact.sign_average(v))
+    assert exact.sign_average(v) == pytest.approx(1.25 / 2.25)
+
+
+def test_signs_of_a_noisy_state_are_those_of_its_real_part():
+    # an ED state with a sign structure, plus imaginary noise of the size
+    # that SR leaves on a trained RBM
+    psi = exact.ground_states(RotatedTfim(6, 0.5, 0.25 * np.pi), k=1).states[:, 0]
+    noisy = exact.normalize(psi + 1e-2j * np.random.default_rng(6).standard_normal(64))
+    assert exact.sign_average(psi) < 0.9
+    # the noise moves Born weight of about 6e-3 between configurations
+    assert exact.sign_average(noisy) == pytest.approx(exact.sign_average(psi), abs=1e-3)
+    order = np.argsort(np.abs(exact.fix_phase(exact.normalize(noisy))) ** 2, kind="stable")
+    assert [s for _, s in exact.sorted_probabilities(noisy)] == np.sign(psi.real)[order].tolist()
 
 
 def test_fix_phase_pins_largest_amplitude():
@@ -290,7 +303,7 @@ def test_ferromagnet_doublet_is_a_parity_pair_on_both_paths(monkeypatch, theta):
     # the doublet is split by ~1e-11 here, so a full-space solve returns a
     # rounding-dependent mix of its two states
     h = RotatedTfim(11, 0.1, theta)
-    monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", exact.SOLVER_MAX_SITES)
+    monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", hilbert.MAX_SITES)
     dense = exact.ground_states(h, k=2)
     monkeypatch.setattr(exact, "DENSE_SOLVE_MAX_SITES", 0)
     lanczos = exact.ground_states(h, k=2)

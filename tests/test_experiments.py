@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nqs_tfim import _blas, cli, exact, experiments, sr
+from nqs_tfim import _blas, cli, exact, experiments, hilbert, sr
 from nqs_tfim.experiments import ExperimentConfig, KINDS, RUNNERS
 from nqs_tfim.hamiltonian import RotatedTfim
 
@@ -188,7 +188,7 @@ def test_load_config_refuses_values_that_fail_every_point(tmp_path, text, named)
 @pytest.mark.parametrize("text, message", [
     ("grid:\n  lambda: []\n", "lam needs at least one value (config key grid.lambda)"),
     ("grid:\n  L: [99]\n",
-     f"L must be in [1, {exact.SOLVER_MAX_SITES}], got 99 (config key grid.L)"),
+     f"L must be in [1, {hilbert.MAX_SITES}], got 99 (config key grid.L)"),
     ("sr:\n  n_iter: 0\n", "n_iter must be >= 1, got 0 (config key sr.n_iter)"),
     ("grid:\n  theta: [0.5pi, 1.5707963267948966]\n",
      "theta repeats a value; each point runs once, got "
@@ -542,6 +542,10 @@ CI_FILES = {
 def test_cli_runs_each_shipped_ci_config(tmp_path, kind):
     assert cli.main([kind, "--profile", "ci", "--out", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == CI_FILES[kind]
+    if kind == "degeneracy":   # every trained RBM has a sign average
+        with open(tmp_path / "degeneracy_realizations.csv") as fh:
+            signs = [float(row["sign_rbm"]) for row in csv.DictReader(fh)]
+        assert len(signs) == 9 and not np.isnan(signs).any()
 
 
 def test_cli_custom_config(tmp_path):

@@ -126,7 +126,7 @@ def test_element_table_matches_row_oracle(L, theta, rng):
 def test_element_table_is_built_lazily():
     tracemalloc.start()
     try:
-        h = RotatedTfim(24, 1.0, 0.3)
+        h = RotatedTfim(16, 1.0, 0.3)
         row(h, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:

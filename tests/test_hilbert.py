@@ -36,7 +36,8 @@ def test_parity_in_mask_matches_products(rng):
 
 
 def test_site_cap():
+    hilbert.check_sites(16)
     with pytest.raises(ValueError):
-        hilbert.check_sites(25)
+        hilbert.check_sites(17)
     with pytest.raises(ValueError):
         hilbert.check_sites(0)

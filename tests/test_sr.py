@@ -134,7 +134,6 @@ def dense_o_expectations(h, w):
     return energy, f, s_mat, p, size_f, np.max(np.abs(moments))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # underflowed amplitudes
 @pytest.mark.parametrize("scale", [0.3, 3.0])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("L", [1, 2, 5, 8])
@@ -159,14 +158,12 @@ def test_expectations_match_dense_o_formula(L, alpha, scale):
     assert np.array_equal(s_mat, s_mat.conj().T)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # underflowed amplitudes
 @pytest.mark.parametrize("scale", [0.3, 3.0])
 def test_expectations_match_dense_o_formula_over_several_blocks(scale):
     assert 2**10 > rbm.ROW_BLOCK   # the cases above fit in one block
     test_expectations_match_dense_o_formula(10, 1.0, scale)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # underflowed amplitudes
 @pytest.mark.parametrize("scale", [0.3, 3.0])
 def test_expectations_match_dense_o_formula_with_several_high_sites(scale):
     # L = 12: 8 blocks, and 3 sites above the 9 that vary inside a block
@@ -342,7 +339,6 @@ def test_optimize_aborts_on_infinite_variance(monkeypatch):
     assert trace.variances[-1] == np.inf
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # amplitudes underflow as w grows
 @pytest.mark.parametrize("eta", [100.0, 1e4])
 def test_optimize_aborts_when_the_parameters_diverge(eta):
     # every variational energy lies within the spectrum, so an energy bound
@@ -354,12 +350,15 @@ def test_optimize_aborts_when_the_parameters_diverge(eta):
 
 
 def test_working_set_estimate_at_the_largest_size():
-    L, M = 24, rbm.n_hidden(24, 4.0)
+    L, M = 16, rbm.n_hidden(16, 4.0)
+    n_var = L + M + L * M
     # arrays of 2^L rows: s_hat, tanh theta, the complex log Psi, psi, H psi
     # and E_loc, the Born weights, and the CSR matrix of H (2L flip masks per
-    # row, 12 bytes each); G has only one block of rows
+    # row, 12 bytes each); G and its sum have only one block of rows; S, the
+    # outer-product buffer and the copy of S + eps are n_var x n_var
     g_block = rbm.ROW_BLOCK * 16 * (M + 1) * (M + 2) // 2
-    held = 2**L * (8 * (L + 1 + 2 * M) + 4 * 16 + 8 + 2 * L * 12) + g_block
+    held = (2**L * (8 * (L + 1 + 2 * M) + 4 * 16 + 8 + 2 * L * 12) + 2 * g_block
+            + 3 * 16 * n_var**2)
     assert held <= sr.working_set_bytes(L, M) < 1.3 * held
 
 
@@ -546,7 +545,6 @@ def test_multi_seed_run_never_picks_an_aborted_run(monkeypatch):
     assert best is runs[1]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the second run overflows
 def test_run_all_keeps_the_completed_run_when_another_ends_non_finite():
     # at eta = 1e307 the parameters overflow before the divergence guard trips
     runs, best = sr.run_all(RotatedTfim(4, 1.5, 0.3), [SrConfig(eta=0.02, n_iter=20, seed=1),
@@ -554,6 +552,15 @@ def test_run_all_keeps_the_completed_run_when_another_ends_non_finite():
     assert best is runs[0] and np.isfinite(best.state).all()
     assert not runs[1].trace.converged
     assert np.isnan(runs[1].state).all()
+
+
+def test_run_all_logs_each_aborted_run_once(caplog):
+    with caplog.at_level(logging.WARNING, logger="nqs_tfim.sr"):
+        sr.run_all(RotatedTfim(4, 1.5, 0.3), [SrConfig(eta=1e307, n_iter=20, seed=2),
+                                             SrConfig(eta=0.02, n_iter=20, seed=1)])
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("nqs_tfim.sr", logging.WARNING,
+         "SR run at eta=1e+307, seed 2 aborted: non-finite energy at iteration 1")]
 
 
 def ending_one_ulp_lower_per_index(seeds, monkeypatch):
