@@ -33,7 +33,7 @@ print(f"infidelity vs exact ground state: "
       f"{exact.infidelity(psi, summary.states[:, 0]):.2e}")
 
 # learning-rate search: sample eta uniformly, keep the lowest final energy
-best = sr.hyperparameter_search(h, trials=10, seed=1,
-                                base=SrConfig(n_iter=200, alpha=1.0))
+best = sr.hyperparameter_search(h, trials=10,
+                                base=SrConfig(n_iter=200, seed=1, alpha=1.0))
 print(f"\n10-trial search picked eta = {best.config.eta:.4f} "
       f"(final energy {best.trace.final_energy.real:.8f})")

@@ -27,7 +27,6 @@ import numpy as np
 from . import exact
 
 AMPLITUDE_FLOOR = 1e-30
-COEFF_FLOOR = 1e-300   # below this an exact coefficient has no relative error
 N_GRID_POINTS = 200   # log-spaced N of default_n_grid above L = 10
 
 
@@ -183,15 +182,12 @@ def _truncation_infidelity(log_a, reference, ref_norm, buffers) -> float:
 def coefficient_relative_errors(c_model: np.ndarray, c_exact: np.ndarray):
     """Per-coefficient relative errors ranked by descending |c_exact|.
 
-    Returns (ranked bitmasks, errors); entries where |c_exact| < COEFF_FLOOR
-    are NaN (relative error undefined).
+    Returns (ranked bitmasks, errors); an error is NaN exactly where
+    c_exact is 0 (relative error undefined) or NaN.
     """
     if c_model.shape != c_exact.shape:
         raise ValueError("coefficient sets live on different chains")
     ranking = magnitude_ranking(c_exact)
     ref = np.abs(c_exact[ranking])
     err = np.abs(c_model[ranking] - c_exact[ranking])
-    out = np.full(ref.shape, np.nan)
-    ok = ref >= COEFF_FLOOR
-    out[ok] = err[ok] / ref[ok]
-    return ranking, out
+    return ranking, np.divide(err, ref, out=np.full(ref.shape, np.nan), where=ref != 0)

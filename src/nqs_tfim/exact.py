@@ -34,10 +34,12 @@ EIG_RESIDUAL_TOL = 1e-8
 NEAR_DEGENERACY_REL = 1e-6
 
 
+@np.errstate(invalid="ignore", divide="ignore")
 def normalize(psi: np.ndarray) -> np.ndarray:
     """psi / ||psi||. The norm is summed by numpy's pairwise sums, not by
     BLAS, whose dot products split long vectors over threads, so the
-    result does not depend on the BLAS thread count."""
+    result does not depend on the BLAS thread count. Non-finite entries
+    give NaN entries, with no numpy warning."""
     psi = np.asarray(psi, dtype=complex)
     norm = np.sqrt(np.sum(psi.real**2) + np.sum(psi.imag**2))
     if norm == 0:
@@ -45,9 +47,11 @@ def normalize(psi: np.ndarray) -> np.ndarray:
     return psi / norm
 
 
+@np.errstate(invalid="ignore", divide="ignore")
 def fix_phase(psi: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the largest-magnitude amplitude is real
-    and positive (ties broken by lowest configuration index)."""
+    and positive (ties broken by lowest configuration index); a state with
+    a non-finite entry gives the all-NaN state, with no numpy warning."""
     psi = np.asarray(psi, dtype=complex)
     k = int(np.argmax(np.abs(psi)))
     a = psi[k]

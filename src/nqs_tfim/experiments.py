@@ -317,9 +317,8 @@ def _solve_and_train(cfg: ExperimentConfig, point_seed: int,
                     epsilon=cfg.epsilon, n_iter=cfg.n_iter, seed=point_seed,
                     alpha=alpha, init_scale=cfg.init_scale)
     if cfg.search_trials >= 1:
-        search_base = replace(base, n_iter=cfg.search_n_iter or cfg.n_iter)
-        best_trial = sr.hyperparameter_search(h, cfg.search_trials, point_seed, search_base)
-        base = replace(base, eta=best_trial.config.eta)
+        search = replace(base, n_iter=cfg.search_n_iter or cfg.n_iter)
+        base = replace(base, eta=sr.hyperparameter_search(h, cfg.search_trials, search).config.eta)
     runs, best = sr.multi_seed_run(h, base, cfg.n_realizations)
     return summary, runs, best
 
@@ -402,7 +401,7 @@ def run_pi_rotation_compare(cfg: ExperimentConfig) -> int:
     ], [({"L": L, "lambda": lam},
          {"mapped_theta0_energy_on_Hpi": mapped_energy,
           # E0 of the last point that succeeded
-          "exact_E0": results[-1][3] if results else None, "n_failures": failures},
+          "exact_E0": results[-1][3] if results else float("nan"), "n_failures": failures},
          [amps for _, _, amps, _, _ in results])])
     return failures
 

@@ -182,14 +182,12 @@ def log_psi_all(w: RbmParameters) -> np.ndarray:
 
 
 def full_state_vector(w: RbmParameters) -> np.ndarray:
-    """Normalized, phase-fixed amplitudes over all 2^L configurations; all
-    NaN when any log amplitude is not finite, as after a run aborted on
-    non-finite energy, computed with no numpy warning."""
+    """Normalized, phase-fixed amplitudes over all 2^L configurations, with
+    no numpy warning: all NaN for a log amplitude of +inf or NaN, as after an
+    aborted run (`exact.fix_phase`), and 0 where a log amplitude is -inf."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lp = log_psi_all(w)
-    if not np.isfinite(lp).all():
-        return np.full(len(lp), np.nan, dtype=complex)
-    return exact.fix_phase(exact.normalize(np.exp(lp - np.max(lp.real))))
+        return exact.fix_phase(exact.normalize(np.exp(lp - np.max(lp.real))))
 
 
 def apply_pi_rotation(w: RbmParameters, j: int) -> RbmParameters:

@@ -132,9 +132,10 @@ def local_energies(h: RotatedTfim, psi: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _born_energy(h: RotatedTfim, lp: np.ndarray):
     """Born weights p, local energies, energy and variance of the state
-    with log-amplitudes lp."""
+    with log-amplitudes lp; raises no numpy warning."""
     psi = np.exp(lp - lp.real.max())
     p = np.abs(psi) ** 2
     p /= p.sum()
@@ -500,15 +501,15 @@ def run_all(h: RotatedTfim, configs) -> tuple[list, Run]:
     return runs, runs[best]
 
 
-def hyperparameter_search(h: RotatedTfim, trials: int, seed: int, base: SrConfig) -> Run:
+def hyperparameter_search(h: RotatedTfim, trials: int, base: SrConfig) -> Run:
     """Random search over the learning rate, run_all's best trial: trial t
     draws eta uniform in ETA_SEARCH_RANGE from one generator seeded with
-    `seed`, in trial order, and takes the seed derive_seed(seed, t)."""
+    base.seed, in trial order, and takes the seed derive_seed(base.seed, t)."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    configs = [replace(base, eta=float(rng.uniform(*ETA_SEARCH_RANGE)), seed=derive_seed(seed, t))
-               for t in range(trials)]
+    rng = np.random.default_rng(base.seed)
+    configs = [replace(base, eta=float(rng.uniform(*ETA_SEARCH_RANGE)),
+                       seed=derive_seed(base.seed, t)) for t in range(trials)]
     return run_all(h, configs)[1]
 
 

@@ -133,8 +133,7 @@ def easy_case_run(master_seed):
     h = RotatedTfim(6, 1.5, 0.0)
     base = SrConfig(n_iter=2000, alpha=1.0)
     trial = sr.hyperparameter_search(
-        h, trials=20, seed=master_seed,
-        base=SrConfig(n_iter=400, alpha=1.0))
+        h, trials=20, base=SrConfig(n_iter=400, seed=master_seed, alpha=1.0))
     runs, best = sr.multi_seed_run(
         h, SrConfig(eta=trial.config.eta, n_iter=base.n_iter,
                     seed=master_seed, alpha=1.0), 3)

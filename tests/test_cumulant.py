@@ -346,7 +346,6 @@ def test_infidelity_curve_rejects_zero_reference():
         cumulant.infidelity_curve(psi, np.zeros(8), [1])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # NaN arithmetic
 def test_infidelity_curve_of_a_nan_state_is_nan():
     psi = exact.ground_states(RotatedTfim(3, 1.5, 0.3)).states[:, 0]
     nan = np.full(8, np.nan)

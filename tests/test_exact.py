@@ -244,7 +244,6 @@ def test_infidelity_examples(rng):
         exact.infidelity(a, np.zeros(2))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # NaN arithmetic
 def test_infidelity_of_a_nan_state_is_nan():
     psi = exact.ground_states(RotatedTfim(3, 1.5, 0.3)).states[:, 0]
     nan = np.full(8, np.nan)

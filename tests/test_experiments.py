@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import json
 import logging
@@ -371,11 +372,12 @@ def test_search_sets_each_points_eta(tmp_path):
     assert experiments.run_uniformity_sweep(cfg) == 0
     rows = read_csv(tmp_path / "uniformity_best.csv")
     etas = [float(row[rows[0].index("eta")]) for row in rows[1:]]
-    search_base = sr.SrConfig(epsilon=cfg.epsilon, n_iter=cfg.search_n_iter,
-                              alpha=cfg.alpha[0], init_scale=cfg.init_scale)
     for p, (theta, eta) in enumerate(zip(cfg.theta, etas)):
+        search_base = sr.SrConfig(epsilon=cfg.epsilon, n_iter=cfg.search_n_iter,
+                                  seed=sr.derive_seed(cfg.seed, p), alpha=cfg.alpha[0],
+                                  init_scale=cfg.init_scale)
         best = sr.hyperparameter_search(RotatedTfim(3, 1.5, theta), cfg.search_trials,
-                                        sr.derive_seed(cfg.seed, p), search_base)
+                                        search_base)
         assert eta == best.config.eta
         assert sr.ETA_SEARCH_RANGE[0] <= eta <= sr.ETA_SEARCH_RANGE[1]
     assert etas[0] != etas[1]
@@ -500,6 +502,37 @@ def test_every_failure_is_logged(tmp_path, monkeypatch, caplog):
     assert len(records) == 2
     assert records[0].getMessage() == records[1].getMessage()
     assert all(r.levelno == logging.WARNING for r in records)
+
+
+@pytest.mark.parametrize("kind, csv_name, nan_columns", [
+    ("degeneracy", "degeneracy_realizations.csv",
+     ["infidelity", "sign_rbm", "overlap2_psi", "overlap2_plus", "overlap2_minus"]),
+    ("uniformity", "uniformity_realizations.csv", ["infidelity"]),
+], ids=["degeneracy", "uniformity"])
+def test_runner_keeps_an_aborted_realization_as_nan(tmp_path, monkeypatch, kind, csv_name,
+                                                    nan_columns):
+    # the second realization runs at eta = 1e307, whose parameters overflow
+    # before the divergence guard trips; its state is all NaN
+    cfg = tiny_config(kind, tmp_path, L=[4], theta=[0.3], n_iter=20)
+    point_seed = sr.derive_seed(cfg.seed, 0)
+    aborted = sr.derive_seed(point_seed, 1)
+    real = sr.optimize
+
+    def patched(h, c):
+        return real(h, dataclasses.replace(c, eta=1e307) if c.seed == aborted else c)
+
+    monkeypatch.setattr(sr, "optimize", patched)
+    assert RUNNERS[kind](cfg) == 0
+    header, *rows = read_csv(tmp_path / csv_name)
+    by_seed = {int(row[header.index("seed")]): row for row in rows}
+    assert set(by_seed) == {sr.derive_seed(point_seed, 0), aborted}
+    for seed, row in by_seed.items():
+        values = [float(row[header.index(name)]) for name in nan_columns]
+        assert np.isnan(values).all() == (seed == aborted)
+        assert np.isfinite(values).all() == (seed != aborted)
+        assert row[header.index("is_best")] == ("0" if seed == aborted else "1")
+    if kind == "uniformity":   # the exact state's sign does not depend on the RBM
+        assert np.isfinite([float(row[header.index("sign_exact")]) for row in rows]).all()
 
 
 def test_runners_cover_all_kinds():

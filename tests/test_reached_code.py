@@ -5,7 +5,8 @@ the runners' checkpoints back. Every private module-level function has a
 caller in `src/` itself, so no helper outlives its last use. And no module
 of the package calls `warnings.warn`: progress and failures go through
 logging, which reports every occurrence, where the default warnings filter
-shows one per code location."""
+shows one per code location. Every test runs with RuntimeWarning as an
+error, and no test module filters it back."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,28 @@ def test_no_module_calls_warnings_warn():
                   and isinstance(node.value, ast.Name) and node.value.id == "warnings"):
                 callers.append(f"{path.stem}:{node.lineno}")
     assert callers == []
+
+
+def warning_filters(path):
+    """(line, action, category) of each filterwarnings or simplefilter call
+    or mark in a file; category is "" where the filter names none."""
+    for node in ast.walk(parse(path)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("filterwarnings", "simplefilter") and node.args
+                and isinstance(node.args[0], ast.Constant)):
+            action, _, rest = node.args[0].value.partition(":")
+            category = rest.partition(":")[2].partition(":")[0]   # "action:message:category"
+            for arg in [*node.args[1:], *(k.value for k in node.keywords)]:
+                if isinstance(arg, ast.Name) and arg.id.endswith("Warning"):
+                    category = arg.id
+            yield node.lineno, action, category
+
+
+def test_no_test_silences_runtime_warnings(pytestconfig):
+    # a test may scope np.errstate around its own reference arithmetic instead
+    assert "error::RuntimeWarning" in pytestconfig.getini("filterwarnings")   # pyproject.toml
+    silenced = [f"{path.relative_to(ROOT)}:{line}"
+                for path in sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/test_*.py")])
+                for line, action, category in warning_filters(path)
+                if action != "error" and category in ("", "Warning", "RuntimeWarning")]
+    assert silenced == []

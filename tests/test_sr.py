@@ -171,7 +171,6 @@ def test_expectations_match_dense_o_formula_with_several_high_sites(scale):
     test_expectations_match_dense_o_formula(12, 1.0, scale)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # E_loc overflows
 def test_zero_born_weights_are_left_out_of_energy_and_variance():
     h = RotatedTfim(8, 1.1, 0.4)
     w = random_params(np.random.default_rng(0), 8, 8, 3.0)
@@ -180,11 +179,12 @@ def test_zero_born_weights_are_left_out_of_energy_and_variance():
     psi = np.exp(lp - np.max(lp.real))
     p = np.abs(psi) ** 2
     p /= p.sum()
-    e_loc = (kron_hamiltonian(8, 1.1, 0.4) @ psi) / psi
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # E_loc overflows
+        e_loc = (kron_hamiltonian(8, 1.1, 0.4) @ psi) / psi
     assert not np.isfinite(e_loc[p == 0]).all()   # 0 * inf would be NaN
     kept = p > 0
-    e_ref = np.sum(np.where(kept, p * e_loc, 0))
-    var_ref = np.sum(np.where(kept, p * np.abs(e_loc - e_ref) ** 2, 0))
+    e_ref = np.sum(p[kept] * e_loc[kept])
+    var_ref = np.sum(p[kept] * np.abs(e_loc[kept] - e_ref) ** 2)
     energy, var = sr.energy_and_variance(h, w)
     assert energy == pytest.approx(e_ref, rel=1e-12)
     assert var == pytest.approx(var_ref, rel=1e-10)
@@ -469,9 +469,9 @@ def test_derive_seed_distinct():
 
 def test_hyperparameter_search_deterministic():
     h = RotatedTfim(3, 1.5, 0.0)
-    base = SrConfig(n_iter=40, alpha=1.0)
-    r1 = sr.hyperparameter_search(h, trials=4, seed=9, base=base)
-    r2 = sr.hyperparameter_search(h, trials=4, seed=9, base=base)
+    base = SrConfig(n_iter=40, seed=9, alpha=1.0)
+    r1 = sr.hyperparameter_search(h, trials=4, base=base)
+    r2 = sr.hyperparameter_search(h, trials=4, base=base)
     assert r1.config.eta == r2.config.eta
     assert r1.trace.final_energy == r2.trace.final_energy
     assert sr.ETA_SEARCH_RANGE[0] <= r1.config.eta <= sr.ETA_SEARCH_RANGE[1]
@@ -480,7 +480,7 @@ def test_hyperparameter_search_deterministic():
 def test_hyperparameter_search_needs_trials():
     h = RotatedTfim(2, 1.0, 0.0)
     with pytest.raises(ValueError):
-        sr.hyperparameter_search(h, trials=0, seed=0, base=SrConfig())
+        sr.hyperparameter_search(h, trials=0, base=SrConfig(seed=0))
 
 
 def test_multi_seed_run_best_is_lowest():
@@ -588,9 +588,9 @@ def test_multi_seed_run_breaks_ties_by_lowest_index(monkeypatch):
 
 def test_hyperparameter_search_breaks_ties_by_lowest_index(monkeypatch):
     h = RotatedTfim(3, 1.5, 0.0)
-    base = SrConfig(n_iter=5)
+    base = SrConfig(n_iter=5, seed=9)
     ending_one_ulp_lower_per_index([sr.derive_seed(9, t) for t in range(3)], monkeypatch)
-    best = sr.hyperparameter_search(h, trials=3, seed=9, base=base)
+    best = sr.hyperparameter_search(h, trials=3, base=base)
     assert best.config.seed == sr.derive_seed(9, 0)
 
 
@@ -602,8 +602,8 @@ def test_a_lower_energy_beyond_the_tie_tolerance_wins():
 
 def test_hyperparameter_search_never_picks_non_finite(monkeypatch):
     h = RotatedTfim(3, 1.5, 0.0)
-    base = SrConfig(n_iter=20)
+    base = SrConfig(n_iter=20, seed=9)
     ending_in_nan_for({sr.derive_seed(9, 0)}, monkeypatch)
-    best = sr.hyperparameter_search(h, trials=2, seed=9, base=base)
+    best = sr.hyperparameter_search(h, trials=2, base=base)
     assert best.config.seed == sr.derive_seed(9, 1)
     assert np.isfinite(best.trace.final_energy)
